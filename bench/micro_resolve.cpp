@@ -48,6 +48,7 @@ core::CodeMapIndex build_index(std::uint64_t epochs, std::uint64_t entries_per_e
     }
     index.add(std::move(file));
   }
+  index.prepare();
   return index;
 }
 

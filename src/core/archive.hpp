@@ -32,10 +32,10 @@ void write_archive(const os::Machine& machine, const RegistrationTable& table,
 
 /// Pluggable provider of epoch code-map indexes, consulted on the JIT
 /// resolution path in place of the resolver's internally loaded maps. The
-/// continuous-profiling service supplies one per ingest batch: its indexes
-/// live in a shared LRU cache keyed by (vm, epoch-ceiling) and are pinned
-/// for the batch's lifetime, so a load-everything-up-front resolver would
-/// be both stale (maps keep streaming in) and unbounded.
+/// continuous-profiling service supplies one per ingest batch: the index
+/// versions its session had published when the batch was enqueued, pinned
+/// for the batch's lifetime — a load-everything-up-front resolver would be
+/// stale, since maps keep streaming in.
 ///
 /// index_for() may return nullptr (no maps known for that pid yet); the
 /// caller then takes the same path as an empty internal index, binning the

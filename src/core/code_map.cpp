@@ -174,28 +174,38 @@ std::optional<std::uint64_t> CodeMapFile::epoch_from_path(const std::string& pat
   return epoch;
 }
 
-CodeMapIndex::CodeMapIndex(CodeMapIndex&& other) noexcept {
-  *this = std::move(other);
+namespace {
+
+bool by_address(const CodeMapEntry& a, const CodeMapEntry& b) {
+  return a.address < b.address;
 }
 
-CodeMapIndex& CodeMapIndex::operator=(CodeMapIndex&& other) noexcept {
-  if (this != &other) {
-    // Moves require exclusive access to both sides (no concurrent queries),
-    // like any other mutation; no locking needed.
-    maps_ = std::move(other.maps_);
-    total_entries_ = other.total_entries_;
-    truncated_count_ = other.truncated_count_;
-    bounds_ = std::move(other.bounds_);
-    slot_of_ = std::move(other.slot_of_);
-    versions_ = std::move(other.versions_);
-    epochs_ = std::move(other.epochs_);
-    trunc_epochs_ = std::move(other.trunc_epochs_);
-    gap_below_ = std::move(other.gap_below_);
-    flat_ready_.store(other.flat_ready_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    other.flat_ready_.store(false, std::memory_order_relaxed);
-  }
-  return *this;
+// Total order for merged colliding maps: the merge must not depend on
+// which of the colliding files arrived first.
+bool by_content(const CodeMapEntry& a, const CodeMapEntry& b) {
+  if (a.address != b.address) return a.address < b.address;
+  if (a.size != b.size) return a.size < b.size;
+  return a.symbol < b.symbol;
+}
+
+// First map in an epoch-ascending range with epoch > `epoch`.
+template <typename It>
+It first_after(It begin, It end, std::uint64_t epoch) {
+  return std::upper_bound(begin, end, epoch,
+                          [](std::uint64_t e, const auto& m) {
+                            return e < m->epoch;
+                          });
+}
+
+}  // namespace
+
+CodeMapIndex::MapPtr CodeMapIndex::sorted(CodeMapFile file) {
+  auto map = std::make_shared<EpochMap>();
+  map->epoch = file.epoch;
+  map->truncated = file.truncated;
+  map->entries = std::move(file.entries);
+  std::sort(map->entries.begin(), map->entries.end(), by_address);
+  return map;
 }
 
 CodeMapIndex::LoadStats CodeMapIndex::load(const os::Vfs& vfs, const std::string& dir,
@@ -209,8 +219,7 @@ CodeMapIndex::LoadStats CodeMapIndex::load(const os::Vfs& vfs, const std::string
     // registers its epoch as truncated — the resolver must know the epoch
     // existed and is unaccounted for.
     const auto hint = CodeMapFile::epoch_from_path(path);
-    const CodeMapFile::Recovery r =
-        CodeMapFile::salvage(*contents, hint.value_or(0));
+    CodeMapFile::Recovery r = CodeMapFile::salvage(*contents, hint.value_or(0));
     ++stats.maps_loaded;
     if (r.file.truncated) {
       ++stats.maps_truncated;
@@ -219,46 +228,48 @@ CodeMapIndex::LoadStats CodeMapIndex::load(const os::Vfs& vfs, const std::string
       ++stats.maps_intact;
     }
     stats.entries_loaded += r.file.entries.size();
-    add(r.file);
+    add(std::move(r.file));
   }
   prepare();
   return stats;
 }
 
-void CodeMapIndex::add(CodeMapFile file) {
-  flat_ready_.store(false, std::memory_order_release);
-  auto it = maps_.find(file.epoch);
-  if (it == maps_.end()) {
-    EpochMap map;
-    map.entries = std::move(file.entries);
-    map.truncated = file.truncated;
-    std::sort(map.entries.begin(), map.entries.end(),
-              [](const CodeMapEntry& a, const CodeMapEntry& b) {
-                return a.address < b.address;
-              });
-    total_entries_ += map.entries.size();
-    if (map.truncated) ++truncated_count_;
-    maps_.emplace(file.epoch, std::move(map));
+void CodeMapIndex::add(MapPtr map) {
+  total_entries_ += map->entries.size();
+  if (map_count() == 0 || map->epoch > max_epoch()) {
+    if (map->truncated) ++truncated_count_;
+    tail_.push_back(std::move(map));
+    return;
+  }
+  // An older or colliding epoch: every map goes back to one epoch-ordered
+  // list, which the next prepare() flattens again.
+  if (base_) {
+    tail_.insert(tail_.begin(), base_->maps.begin(), base_->maps.end());
+    base_.reset();
+  }
+  auto it = first_after(tail_.begin(), tail_.end(), map->epoch);
+  if (it == tail_.begin() || (*(it - 1))->epoch != map->epoch) {
+    if (map->truncated) ++truncated_count_;
+    tail_.insert(it, std::move(map));
     return;
   }
   // Epoch collision: two files claimed this epoch (typically two damaged
   // files salvaged under the same file-name hint). Merge the entries and
   // mark the epoch truncated — which file's entries are authoritative is
   // unknowable, so absence from the union must not prove anything.
-  EpochMap& map = it->second;
-  total_entries_ += file.entries.size();
-  map.entries.insert(map.entries.end(),
-                     std::make_move_iterator(file.entries.begin()),
-                     std::make_move_iterator(file.entries.end()));
-  std::sort(map.entries.begin(), map.entries.end(),
-            [](const CodeMapEntry& a, const CodeMapEntry& b) {
-              return a.address < b.address;
-            });
-  if (!map.truncated) ++truncated_count_;
-  map.truncated = true;
+  MapPtr& slot = *(it - 1);
+  auto merged = std::make_shared<EpochMap>();
+  merged->epoch = map->epoch;
+  merged->truncated = true;
+  merged->entries = slot->entries;
+  merged->entries.insert(merged->entries.end(), map->entries.begin(),
+                         map->entries.end());
+  std::sort(merged->entries.begin(), merged->entries.end(), by_content);
+  if (!slot->truncated) ++truncated_count_;
+  slot = std::move(merged);
 }
 
-const CodeMapEntry* CodeMapIndex::find_in(const EpochMap& map, hw::Address pc) const {
+const CodeMapEntry* CodeMapIndex::find_in(const EpochMap& map, hw::Address pc) {
   auto e = std::upper_bound(map.entries.begin(), map.entries.end(), pc,
                             [](hw::Address a, const CodeMapEntry& m) {
                               return a < m.address;
@@ -268,36 +279,36 @@ const CodeMapEntry* CodeMapIndex::find_in(const EpochMap& map, hw::Address pc) c
   return e->contains(pc) ? &*e : nullptr;
 }
 
-void CodeMapIndex::prepare() const {
-  if (flat_ready_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(flat_mu_);
-  if (flat_ready_.load(std::memory_order_relaxed)) return;
-  build_flat();
-  flat_ready_.store(true, std::memory_order_release);
+void CodeMapIndex::prepare() {
+  if (tail_.empty()) return;
+  std::vector<MapPtr> maps;
+  if (base_) maps = base_->maps;
+  maps.insert(maps.end(), std::make_move_iterator(tail_.begin()),
+              std::make_move_iterator(tail_.end()));
+  tail_.clear();
+  base_ = Flat::build(std::move(maps));
 }
 
-void CodeMapIndex::build_flat() const {
-  bounds_.clear();
-  slot_of_.clear();
-  versions_.clear();
-  epochs_.clear();
-  trunc_epochs_.clear();
-  gap_below_.clear();
+std::shared_ptr<const CodeMapIndex::Flat> CodeMapIndex::Flat::build(
+    std::vector<MapPtr> maps) {
+  auto flat = std::make_shared<Flat>();
+  flat->maps = std::move(maps);
 
-  epochs_.reserve(maps_.size());
-  for (const auto& [epoch, map] : maps_) {
-    epochs_.push_back(epoch);
-    if (map.truncated) trunc_epochs_.push_back(epoch);
+  flat->epochs.reserve(flat->maps.size());
+  for (const MapPtr& map : flat->maps) {
+    flat->epochs.push_back(map->epoch);
+    if (map->truncated) flat->trunc_epochs.push_back(map->epoch);
   }
 
-  gap_below_.reserve(epochs_.size());
-  for (std::size_t i = 0; i < epochs_.size(); ++i) {
+  const std::vector<std::uint64_t>& epochs = flat->epochs;
+  flat->gap_below.reserve(epochs.size());
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
     if (i == 0) {
-      gap_below_.push_back(epochs_[0] > 0 ? epochs_[0] - 1 : kNoGap);
-    } else if (epochs_[i - 1] + 1 == epochs_[i]) {
-      gap_below_.push_back(gap_below_[i - 1]);  // contiguous: inherit
+      flat->gap_below.push_back(epochs[0] > 0 ? epochs[0] - 1 : kNoGap);
+    } else if (epochs[i - 1] + 1 == epochs[i]) {
+      flat->gap_below.push_back(flat->gap_below[i - 1]);  // contiguous: inherit
     } else {
-      gap_below_.push_back(epochs_[i] - 1);
+      flat->gap_below.push_back(epochs[i] - 1);
     }
   }
 
@@ -318,97 +329,105 @@ void CodeMapIndex::build_flat() const {
     }
   };
 
-  for (const auto& [epoch, map] : maps_) {
-    each_segment(map, [this](hw::Address lo, hw::Address hi, const CodeMapEntry*) {
-      bounds_.push_back(lo);
-      bounds_.push_back(hi);
+  std::vector<hw::Address>& bounds = flat->bounds;
+  for (const MapPtr& map : flat->maps) {
+    each_segment(*map, [&bounds](hw::Address lo, hw::Address hi, const CodeMapEntry*) {
+      bounds.push_back(lo);
+      bounds.push_back(hi);
     });
   }
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
-  const std::size_t slots = bounds_.empty() ? 0 : bounds_.size() - 1;
-  std::vector<std::vector<Version>> per_slot(slots);
-  std::uint32_t ord = 0;
-  for (const auto& [epoch, map] : maps_) {
-    const std::uint64_t e = epoch;
-    each_segment(map, [&](hw::Address lo, hw::Address hi, const CodeMapEntry* entry) {
-      const std::size_t j0 = static_cast<std::size_t>(
-          std::lower_bound(bounds_.begin(), bounds_.end(), lo) - bounds_.begin());
-      const std::size_t j1 = static_cast<std::size_t>(
-          std::lower_bound(bounds_.begin(), bounds_.end(), hi) - bounds_.begin());
-      for (std::size_t j = j0; j < j1; ++j) {
-        per_slot[j].push_back(Version{e, ord, entry});
-      }
+  // Two passes over the segments: count each interval's versions, then fill
+  // them in epoch order straight into the CSR arrays.
+  struct Span {
+    std::size_t j0, j1;  // elementary intervals [j0, j1) of one segment
+    const CodeMapEntry* entry;
+  };
+  std::vector<Span> spans;
+  std::vector<std::size_t> map_end;  // per map: end of its spans
+  map_end.reserve(flat->maps.size());
+  for (const MapPtr& map : flat->maps) {
+    // A map's segments ascend without overlap: each search starts where
+    // the previous segment ended.
+    auto from = bounds.begin();
+    each_segment(*map, [&](hw::Address lo, hw::Address hi, const CodeMapEntry* entry) {
+      const auto j0 = std::lower_bound(from, bounds.end(), lo);
+      from = std::lower_bound(j0, bounds.end(), hi);
+      spans.push_back({static_cast<std::size_t>(j0 - bounds.begin()),
+                       static_cast<std::size_t>(from - bounds.begin()), entry});
     });
-    ++ord;
+    map_end.push_back(spans.size());
   }
-
-  slot_of_.reserve(slots + 1);
-  slot_of_.push_back(0);
-  std::size_t total = 0;
-  for (const auto& vs : per_slot) total += vs.size();
-  versions_.reserve(total);
-  for (auto& vs : per_slot) {
-    versions_.insert(versions_.end(), vs.begin(), vs.end());
-    slot_of_.push_back(versions_.size());
+  const std::size_t slots = bounds.empty() ? 0 : bounds.size() - 1;
+  std::vector<std::size_t>& slot_of = flat->slot_of;
+  slot_of.assign(slots + 1, 0);
+  for (const Span& span : spans)
+    for (std::size_t j = span.j0; j < span.j1; ++j) ++slot_of[j + 1];
+  for (std::size_t j = 0; j < slots; ++j) slot_of[j + 1] += slot_of[j];
+  flat->versions.resize(slot_of[slots]);
+  std::vector<std::size_t> fill(slot_of.begin(), slot_of.end() - 1);
+  std::size_t next_span = 0;
+  for (std::uint32_t ord = 0; ord < flat->maps.size(); ++ord) {
+    const std::uint64_t epoch = flat->maps[ord]->epoch;
+    for (; next_span < map_end[ord]; ++next_span) {
+      const Span& span = spans[next_span];
+      for (std::size_t j = span.j0; j < span.j1; ++j)
+        flat->versions[fill[j]++] = Occupant{epoch, ord, span.entry};
+    }
   }
+  return flat;
 }
 
-const CodeMapIndex::Version* CodeMapIndex::flat_find(hw::Address pc,
-                                                     std::uint64_t epoch) const {
-  if (bounds_.size() < 2 || pc < bounds_.front() || pc >= bounds_.back()) {
+const CodeMapIndex::Occupant* CodeMapIndex::Flat::find(hw::Address pc,
+                                                       std::uint64_t epoch) const {
+  if (bounds.size() < 2 || pc < bounds.front() || pc >= bounds.back()) {
     return nullptr;
   }
   const std::size_t j = static_cast<std::size_t>(
-      std::upper_bound(bounds_.begin(), bounds_.end(), pc) - bounds_.begin() - 1);
-  const auto begin = versions_.begin() + static_cast<std::ptrdiff_t>(slot_of_[j]);
-  const auto end = versions_.begin() + static_cast<std::ptrdiff_t>(slot_of_[j + 1]);
+      std::upper_bound(bounds.begin(), bounds.end(), pc) - bounds.begin() - 1);
+  const auto begin = versions.begin() + static_cast<std::ptrdiff_t>(slot_of[j]);
+  const auto end = versions.begin() + static_cast<std::ptrdiff_t>(slot_of[j + 1]);
   const auto it = std::upper_bound(
       begin, end, epoch,
-      [](std::uint64_t q, const Version& v) { return q < v.epoch; });
+      [](std::uint64_t q, const Occupant& v) { return q < v.epoch; });
   if (it == begin) return nullptr;  // interval unoccupied at or before `epoch`
   return &*(it - 1);
 }
 
-std::optional<CodeMapIndex::Hit> CodeMapIndex::resolve(hw::Address pc,
-                                                       std::uint64_t epoch) const {
-  prepare();
-  const Version* v = flat_find(pc, epoch);
+std::optional<CodeMapIndex::Hit> CodeMapIndex::Flat::resolve(hw::Address pc,
+                                                             std::uint64_t epoch) const {
+  const Occupant* v = find(pc, epoch);
   if (v == nullptr) return std::nullopt;
   // The lax walk visits every loaded map from the newest at or below
   // `epoch` down to the hit, so the reported depth is an ord distance.
-  const auto top = std::upper_bound(epochs_.begin(), epochs_.end(), epoch);
-  const auto top_ord = static_cast<std::uint32_t>(top - epochs_.begin() - 1);
+  const auto top = std::upper_bound(epochs.begin(), epochs.end(), epoch);
+  const auto top_ord = static_cast<std::uint32_t>(top - epochs.begin() - 1);
   return Hit{v->entry->symbol, v->epoch, top_ord - v->ord + 1, v->entry->address,
              v->entry->size};
 }
 
-CodeMapIndex::Lookup CodeMapIndex::lookup(hw::Address pc, std::uint64_t epoch) const {
+CodeMapIndex::Lookup CodeMapIndex::Flat::lookup(hw::Address pc,
+                                                std::uint64_t epoch) const {
   Lookup out;
-  if (maps_.empty()) {
-    out.miss = JitLookupMiss::kNoMaps;
-    return out;
-  }
-  prepare();
-
   // Newest loaded epoch at or below the query epoch, if any.
-  const auto top = std::upper_bound(epochs_.begin(), epochs_.end(), epoch);
+  const auto top = std::upper_bound(epochs.begin(), epochs.end(), epoch);
   // Newest *missing* integer epoch <= query: the query epoch itself when it
   // has no map, else the precomputed gap below the walk's entry point.
   std::uint64_t gap = kNoGap;
-  if (top == epochs_.begin()) {
+  if (top == epochs.begin()) {
     gap = epoch;  // nothing loaded at or below the query epoch
   } else {
-    const std::size_t top_idx = static_cast<std::size_t>(top - epochs_.begin() - 1);
-    gap = epochs_[top_idx] == epoch ? gap_below_[top_idx] : epoch;
+    const std::size_t top_idx = static_cast<std::size_t>(top - epochs.begin() - 1);
+    gap = epochs[top_idx] == epoch ? gap_below[top_idx] : epoch;
   }
   // Newest truncated epoch <= query.
-  const auto tt = std::upper_bound(trunc_epochs_.begin(), trunc_epochs_.end(), epoch);
-  const bool has_trunc = tt != trunc_epochs_.begin();
+  const auto tt = std::upper_bound(trunc_epochs.begin(), trunc_epochs.end(), epoch);
+  const bool has_trunc = tt != trunc_epochs.begin();
   const std::uint64_t trunc = has_trunc ? *(tt - 1) : 0;
 
-  const Version* v = flat_find(pc, epoch);
+  const Occupant* v = find(pc, epoch);
   // The walk stops at whichever poison epoch it meets first (the highest
   // one) on the way down from `epoch` — but only if that is *above* the
   // hit; a hit inside a truncated map is still a hit (verified checksum).
@@ -433,32 +452,106 @@ CodeMapIndex::Lookup CodeMapIndex::lookup(hw::Address pc, std::uint64_t epoch) c
   return out;
 }
 
+std::optional<CodeMapIndex::Hit> CodeMapIndex::resolve(hw::Address pc,
+                                                       std::uint64_t epoch) const {
+  // The tail holds the newest maps: the lax walk visits them first.
+  std::uint32_t searched = 0;
+  for (auto it = first_after(tail_.begin(), tail_.end(), epoch); it != tail_.begin();) {
+    const EpochMap& map = **--it;
+    ++searched;
+    if (const CodeMapEntry* e = find_in(map, pc))
+      return Hit{e->symbol, map.epoch, searched, e->address, e->size};
+  }
+  if (!base_) return std::nullopt;
+  std::optional<Hit> hit = base_->resolve(pc, epoch);
+  if (hit) hit->maps_searched += searched;
+  return hit;
+}
+
+CodeMapIndex::Lookup CodeMapIndex::lookup(hw::Address pc, std::uint64_t epoch) const {
+  Lookup out;
+  if (map_count() == 0) {
+    out.miss = JitLookupMiss::kNoMaps;
+    return out;
+  }
+  // Walk the tail exactly as lookup_walkback() does, then continue in the
+  // base from the first epoch the tail did not cover.
+  std::uint64_t next = epoch;
+  for (auto it = first_after(tail_.begin(), tail_.end(), epoch); it != tail_.begin();) {
+    const EpochMap& map = **--it;
+    if (map.epoch != next) {
+      out.miss = JitLookupMiss::kMissingEpochMap;
+      return out;
+    }
+    if (const CodeMapEntry* e = find_in(map, pc)) {
+      out.hit = Hit{e->symbol, map.epoch,
+                    static_cast<std::uint32_t>(epoch - map.epoch + 1), e->address,
+                    e->size};
+      return out;
+    }
+    if (map.truncated) {
+      out.miss = JitLookupMiss::kTruncatedMap;
+      return out;
+    }
+    if (map.epoch == 0) {
+      out.miss = JitLookupMiss::kNotFound;
+      return out;
+    }
+    next = map.epoch - 1;
+  }
+  if (!base_) {
+    out.miss = JitLookupMiss::kMissingEpochMap;  // epoch `next` has no map
+    return out;
+  }
+  out = base_->lookup(pc, next);
+  if (out.hit) out.hit->maps_searched += static_cast<std::uint32_t>(epoch - next);
+  return out;
+}
+
+const CodeMapIndex::EpochMap* CodeMapIndex::map_at(std::uint64_t epoch) const {
+  auto it = first_after(tail_.begin(), tail_.end(), epoch);
+  if (it != tail_.begin() && (*(it - 1))->epoch == epoch) return (it - 1)->get();
+  if (!base_) return nullptr;
+  const auto& epochs = base_->epochs;
+  const auto e = std::lower_bound(epochs.begin(), epochs.end(), epoch);
+  if (e == epochs.end() || *e != epoch) return nullptr;
+  return base_->maps[static_cast<std::size_t>(e - epochs.begin())].get();
+}
+
+bool CodeMapIndex::epoch_truncated(std::uint64_t epoch) const {
+  const EpochMap* map = map_at(epoch);
+  return map != nullptr && map->truncated;
+}
+
 std::optional<CodeMapIndex::Hit> CodeMapIndex::resolve_walkback(
     hw::Address pc, std::uint64_t epoch) const {
   std::uint32_t searched = 0;
-  // Iterate epochs <= `epoch` from newest to oldest.
-  auto it = maps_.upper_bound(epoch);
-  while (it != maps_.begin()) {
-    --it;
-    ++searched;
-    if (const CodeMapEntry* e = find_in(it->second, pc)) {
-      return Hit{e->symbol, it->first, searched, e->address, e->size};
+  // Iterate epochs <= `epoch` from newest to oldest: tail, then base.
+  const auto visit = [&](auto begin, auto end) -> std::optional<Hit> {
+    for (auto it = first_after(begin, end, epoch); it != begin;) {
+      const EpochMap& map = **--it;
+      ++searched;
+      if (const CodeMapEntry* e = find_in(map, pc))
+        return Hit{e->symbol, map.epoch, searched, e->address, e->size};
     }
-  }
-  return std::nullopt;
+    return std::nullopt;
+  };
+  if (auto hit = visit(tail_.begin(), tail_.end())) return hit;
+  if (!base_) return std::nullopt;
+  return visit(base_->maps.begin(), base_->maps.end());
 }
 
 CodeMapIndex::Lookup CodeMapIndex::lookup_walkback(hw::Address pc,
                                                    std::uint64_t epoch) const {
   Lookup out;
-  if (maps_.empty()) {
+  if (map_count() == 0) {
     out.miss = JitLookupMiss::kNoMaps;
     return out;
   }
   std::uint32_t searched = 0;
   for (std::uint64_t e = epoch;; --e) {
-    auto it = maps_.find(e);
-    if (it == maps_.end()) {
+    const EpochMap* map = map_at(e);
+    if (map == nullptr) {
       // This epoch's map was lost. Some method may have been compiled or
       // moved here; falling through to an older map could resurrect a
       // stale placement, so the sample is explicitly unresolvable.
@@ -466,13 +559,13 @@ CodeMapIndex::Lookup CodeMapIndex::lookup_walkback(hw::Address pc,
       return out;
     }
     ++searched;
-    if (const CodeMapEntry* entry = find_in(it->second, pc)) {
+    if (const CodeMapEntry* entry = find_in(*map, pc)) {
       // A salvaged entry carries a verified checksum, so a hit is a hit
       // even inside a truncated map.
       out.hit = Hit{entry->symbol, e, searched, entry->address, entry->size};
       return out;
     }
-    if (it->second.truncated) {
+    if (map->truncated) {
       // Absence from a truncated map proves nothing — the entry covering
       // `pc` may be among the lost lines.
       out.miss = JitLookupMiss::kTruncatedMap;
@@ -485,8 +578,38 @@ CodeMapIndex::Lookup CodeMapIndex::lookup_walkback(hw::Address pc,
 }
 
 std::uint64_t CodeMapIndex::max_epoch() const {
-  if (maps_.empty()) return 0;
-  return maps_.rbegin()->first;
+  if (!tail_.empty()) return tail_.back()->epoch;
+  return base_ ? base_->epochs.back() : 0;
+}
+
+// ------------------------------------------------------ VersionedCodeMapIndex
+
+namespace {
+
+// A version re-flattens once its tail holds more than this many maps and
+// more than 1/kTailFraction of the maps in its base: bounded walk per
+// query, amortised O(new entries) per append.
+constexpr std::size_t kMinTail = 8;
+constexpr std::size_t kTailFraction = 2;
+
+}  // namespace
+
+void VersionedCodeMapIndex::add(const std::string& path, CodeMapFile file) {
+  CodeMapIndex::MapPtr map = CodeMapIndex::sorted(std::move(file));
+  auto [slot, fresh] = by_path_.try_emplace(path, map);
+  CodeMapIndex next;
+  if (fresh) {
+    next = *current_;
+    next.add(std::move(map));
+  } else {
+    // A path stored again replaces its earlier contents, as a VFS write
+    // does: rebuild from every map received.
+    slot->second = std::move(map);
+    for (const auto& [p, m] : by_path_) next.add(m);
+  }
+  const std::size_t base = next.map_count() - next.tail_size();
+  if (next.tail_size() > std::max(kMinTail, base / kTailFraction)) next.prepare();
+  current_ = std::make_shared<const CodeMapIndex>(std::move(next));
 }
 
 }  // namespace viprof::core

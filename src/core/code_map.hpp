@@ -24,12 +24,18 @@
 // keeping kMissingEpochMap/kTruncatedMap outcomes bit-identical to the
 // walk; resolve_walkback()/lookup_walkback() keep the original algorithms
 // as the property-test oracle.
+//
+// Maps that stream in one epoch at a time (the continuous-profiling
+// service, DESIGN.md §10) must not pay a re-flatten of every older epoch
+// per arrival: each map is sorted once into immutable shared storage, maps
+// newer than the flattened base form a short tail that queries walk first,
+// and VersionedCodeMapIndex publishes every arrival as a cheap immutable
+// copy that shares the older epochs with its predecessor.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,18 +110,19 @@ inline const char* to_string(JitLookupMiss m) {
 
 /// The post-processing index over all epoch maps of one VM.
 ///
-/// Thread-safety contract: after the flattened view is built (prepare(), or
-/// lazily on first query), any number of threads may call the const query
-/// methods concurrently. add() and load() are exclusive — they must not
-/// race with queries or each other.
+/// Storage: every epoch map is address-sorted once into an immutable
+/// EpochMap shared by all copies of the index. Maps up to some epoch B sit
+/// in a flattened *base* view (one O(log n) probe answers any epoch); maps
+/// newer than B form a *tail* that queries walk newest-first before that
+/// probe. load() and prepare() fold the tail into the base. Copying an
+/// index is cheap — the copy shares every map and the base — and leaves
+/// both objects independent.
+///
+/// Thread-safety contract: any number of threads may call the const query
+/// methods concurrently. add(), load() and prepare() are exclusive — they
+/// must not race with queries or each other on the same object.
 class CodeMapIndex {
  public:
-  CodeMapIndex() = default;
-  CodeMapIndex(CodeMapIndex&& other) noexcept;
-  CodeMapIndex& operator=(CodeMapIndex&& other) noexcept;
-  CodeMapIndex(const CodeMapIndex&) = delete;
-  CodeMapIndex& operator=(const CodeMapIndex&) = delete;
-
   struct LoadStats {
     std::uint64_t maps_loaded = 0;     // files found (intact or salvaged)
     std::uint64_t maps_intact = 0;
@@ -132,8 +139,9 @@ class CodeMapIndex {
   /// claiming the same epoch — e.g. two unreadable-header files salvaged
   /// under the same file-name hint — are *merged* and the epoch marked
   /// truncated: with provenance ambiguous, absence from the merged map must
-  /// not prove anything.
-  void add(CodeMapFile file);
+  /// not prove anything. The merged entries are ordered by (address, size,
+  /// symbol), so the result does not depend on which file came first.
+  void add(CodeMapFile file) { add(sorted(std::move(file))); }
 
   struct Hit {
     std::string symbol;
@@ -165,18 +173,18 @@ class CodeMapIndex {
   std::optional<Hit> resolve_walkback(hw::Address pc, std::uint64_t epoch) const;
   Lookup lookup_walkback(hw::Address pc, std::uint64_t epoch) const;
 
-  /// Builds the flattened view now (idempotent, thread-safe). Queries call
-  /// it lazily; load() calls it eagerly so post-processing threads never
-  /// contend on the build.
-  void prepare() const;
+  /// Folds the tail into the flattened view (a no-op when the tail is
+  /// empty). Queries are exact either way; the tail only costs walk steps.
+  void prepare();
 
   /// True if `epoch` has a loaded map that is marked truncated.
-  bool epoch_truncated(std::uint64_t epoch) const {
-    auto it = maps_.find(epoch);
-    return it != maps_.end() && it->second.truncated;
-  }
+  bool epoch_truncated(std::uint64_t epoch) const;
 
-  std::size_t map_count() const { return maps_.size(); }
+  std::size_t map_count() const {
+    return (base_ ? base_->maps.size() : 0) + tail_.size();
+  }
+  /// Maps not yet folded into the flattened view.
+  std::size_t tail_size() const { return tail_.size(); }
   std::uint64_t total_entries() const { return total_entries_; }
   std::uint64_t truncated_count() const { return truncated_count_; }
 
@@ -184,44 +192,93 @@ class CodeMapIndex {
   std::uint64_t max_epoch() const;
 
  private:
+  friend class VersionedCodeMapIndex;
+
+  /// One epoch's entries, address-sorted; immutable once shared.
   struct EpochMap {
-    std::vector<CodeMapEntry> entries;  // address-sorted
+    std::uint64_t epoch = 0;
     bool truncated = false;
+    std::vector<CodeMapEntry> entries;
   };
+  using MapPtr = std::shared_ptr<const EpochMap>;
+
+  /// Sorts `file`'s entries by address into a shareable map (the one sort
+  /// every map gets, whichever index it later joins).
+  static MapPtr sorted(CodeMapFile file);
+
+  /// add() for a sorted map. A map newer than every loaded epoch joins the
+  /// tail without touching older maps; an older or colliding one returns
+  /// every map to the tail, to be flattened again by the next prepare().
+  void add(MapPtr map);
 
   /// One occupant change of an elementary address interval: from `epoch`
   /// on (until a newer version of the same interval), samples in the
   /// interval attribute to `entry`.
-  struct Version {
+  struct Occupant {
     std::uint64_t epoch = 0;
-    std::uint32_t ord = 0;  // index of `epoch` among loaded map epochs
+    std::uint32_t ord = 0;  // index of `epoch` among the base's epochs
     const CodeMapEntry* entry = nullptr;
   };
 
-  const CodeMapEntry* find_in(const EpochMap& map, hw::Address pc) const;
-  void build_flat() const;
-  /// Newest occupant of `pc` among maps with epoch <= `epoch`, or nullptr.
-  const Version* flat_find(hw::Address pc, std::uint64_t epoch) const;
+  /// The flattened view over a set of maps; immutable once built and
+  /// shared by every index copy. Entry pointers reference `maps` storage.
+  struct Flat {
+    std::vector<MapPtr> maps;                // epoch-ascending, non-empty
+    std::vector<hw::Address> bounds;         // elementary interval borders
+    std::vector<std::size_t> slot_of;        // CSR offsets into versions
+    std::vector<Occupant> versions;          // per interval, epoch-ascending
+    std::vector<std::uint64_t> epochs;       // sorted map epochs
+    std::vector<std::uint64_t> trunc_epochs; // sorted truncated epochs
+    /// Per map: newest integer epoch <= it with *no* map (kNoGap if the
+    /// maps run contiguously down to 0).
+    std::vector<std::uint64_t> gap_below;
 
-  std::map<std::uint64_t, EpochMap> maps_;
-  std::uint64_t total_entries_ = 0;
-  std::uint64_t truncated_count_ = 0;
+    static std::shared_ptr<const Flat> build(std::vector<MapPtr> maps);
+    /// Newest occupant of `pc` among maps with epoch <= `epoch`, or nullptr.
+    const Occupant* find(hw::Address pc, std::uint64_t epoch) const;
+    std::optional<Hit> resolve(hw::Address pc, std::uint64_t epoch) const;
+    Lookup lookup(hw::Address pc, std::uint64_t epoch) const;
+  };
 
-  // ---- Flattened view (derived; rebuilt after add(), shared by readers).
-  // Entry pointers reference maps_ node storage, which is stable under
-  // std::map moves, so a prepared index can be moved without rebuilding.
   static constexpr std::uint64_t kNoGap = ~0ull;  // epochs are < 2^64-1 here
 
-  mutable std::atomic<bool> flat_ready_{false};
-  mutable std::mutex flat_mu_;
-  mutable std::vector<hw::Address> bounds_;   // elementary interval borders
-  mutable std::vector<std::size_t> slot_of_;  // CSR offsets into versions_
-  mutable std::vector<Version> versions_;     // per interval, epoch-ascending
-  mutable std::vector<std::uint64_t> epochs_;        // sorted map epochs
-  mutable std::vector<std::uint64_t> trunc_epochs_;  // sorted truncated epochs
-  /// Per loaded epoch: newest integer epoch <= it with *no* map (kNoGap if
-  /// the maps run contiguously down to 0).
-  mutable std::vector<std::uint64_t> gap_below_;
+  static const CodeMapEntry* find_in(const EpochMap& map, hw::Address pc);
+  /// The loaded map of `epoch`, or nullptr.
+  const EpochMap* map_at(std::uint64_t epoch) const;
+
+  std::shared_ptr<const Flat> base_;  // null until the first prepare()
+  std::vector<MapPtr> tail_;  // epoch-ascending, all newer than the base
+  std::uint64_t total_entries_ = 0;
+  std::uint64_t truncated_count_ = 0;
+};
+
+/// The epoch index of one VM whose maps arrive one at a time. Each add()
+/// publishes a new immutable CodeMapIndex version; earlier versions stay
+/// valid, unchanged, for whoever still holds them.
+///
+/// A map newer than every loaded epoch is *appended*: sorted once, it
+/// joins the tail of a copy of the current version, sharing every older
+/// map and the flattened base. When the tail outgrows a fixed fraction of
+/// the base the new version re-flattens, so appends cost amortised
+/// O(new entries) and a query walks a bounded tail before its base probe.
+/// Out-of-order and duplicate epochs take the exact general path of
+/// CodeMapIndex::add; a path stored twice rebuilds from every map
+/// received, in path order — what CodeMapIndex::load would read.
+///
+/// Not thread-safe: one writer at a time, and readers get current()
+/// copies from the writer's side of a lock.
+class VersionedCodeMapIndex {
+ public:
+  using Version = std::shared_ptr<const CodeMapIndex>;
+
+  /// Adds the map stored at `path` and publishes the new version.
+  void add(const std::string& path, CodeMapFile file);
+
+  const Version& current() const { return current_; }
+
+ private:
+  std::map<std::string, CodeMapIndex::MapPtr> by_path_;
+  Version current_ = std::make_shared<const CodeMapIndex>();
 };
 
 }  // namespace viprof::core

@@ -89,7 +89,7 @@ class RegistrationTable {
   }
 
   /// Bumped by every successful mutation; lets readers that cache derived
-  /// state (the service's code-map cache, resolvers) detect churn cheaply.
+  /// state (resolvers) detect churn cheaply.
   std::uint64_t version() const { return version_; }
 
   /// Registration whose heap (or boot image) covers `pc` for `pid`.

@@ -56,16 +56,30 @@ std::optional<core::VmRegistration> parse_reg_line(const std::string& line) {
   return reg;
 }
 
-/// The per-batch view of the shared code-map cache: shared_ptr pins built
-/// once per batch, so eviction under a running worker is harmless.
+/// The per-batch view of the map index versions the batch pinned: for each
+/// VM the resolver knows, its code-map (or, for object batches, object-map)
+/// index. The batch's MapVersions keeps every pointer alive.
 class PinnedJitSource final : public core::JitIndexSource {
  public:
-  const core::CodeMapIndex* index_for(hw::Pid pid, std::uint64_t) const override {
-    auto it = pins_.find(pid);
-    return it == pins_.end() ? nullptr : it->second.get();
+  PinnedJitSource(const core::ArchiveResolver& resolver, const MapVersions& maps,
+                  bool object_maps) {
+    for (const core::VmRegistration& reg : resolver.registrations()) {
+      const std::string& dir = object_maps ? reg.obj_map_dir : reg.jit_map_dir;
+      if (dir.empty() || pins_.count(reg.pid) != 0) continue;
+      const auto it = maps.find(map_index_key(dir, reg.pid, object_maps));
+      if (it != maps.end()) pins_.emplace(reg.pid, it->second.get());
+    }
   }
 
-  std::map<hw::Pid, CodeMapCache::IndexPtr> pins_;
+  const core::CodeMapIndex* index_for(hw::Pid pid, std::uint64_t) const override {
+    auto it = pins_.find(pid);
+    return it == pins_.end() ? nullptr : it->second;
+  }
+
+  std::size_t size() const { return pins_.size(); }
+
+ private:
+  std::map<hw::Pid, const core::CodeMapIndex*> pins_;
 };
 
 }  // namespace
@@ -114,11 +128,9 @@ std::optional<Frame> ServerConnection::next_reply() {
 
 ProfileServer::ProfileServer(const ServerConfig& config)
     : config_(config),
-      cache_(config.code_map_cache_capacity),
       pool_(config.ingest_threads == 0 ? 1 : config.ingest_threads) {
   telemetry_.gauge("service.ingest_threads").set(static_cast<double>(pool_.size()));
   // Arm the contention suspects before any traffic (DESIGN.md §13).
-  cache_.attach_telemetry(telemetry_);
   pool_.attach_telemetry(telemetry_);
   sessions_mu_.attach(telemetry_);
 }
@@ -276,6 +288,8 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
   batch.event = *event;
   batch.arena = rent_arena();
   batch.samples = support::ArenaVector<core::LoggedSample>(*batch.arena);
+  // Built on the first batch (it takes world_mu_), so workers never do.
+  batch.resolver = session->resolver();
   bool enqueued = false;
   std::uint64_t record_count = 0;
   const std::uint64_t parse_t0 = support::monotonic_ns();
@@ -286,7 +300,7 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     std::lock_guard<support::TracedMutex> lock(session->ingest_mu_);
     session->parsers_[hw::event_index(*event)].parse_into(payload.substr(nl + 1),
                                                           batch.samples);
-    batch.ceilings = session->ceilings_;
+    batch.maps = session->published_;
     record_count = batch.samples.size();
 
     bool forced_overflow = false;
@@ -338,7 +352,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   result.event = batch.event;
   result.records = batch.samples.size();
 
-  const core::ArchiveResolver* resolver = session->resolver();
+  const core::ArchiveResolver* resolver = batch.resolver;
   if (resolver == nullptr) {
     // No archive manifest streamed yet: the batch cannot be attributed.
     // Apply an empty result so the sequence keeps flowing, and count it.
@@ -349,24 +363,14 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     return;
   }
 
-  if (batch.event == hw::EventKind::kObjDmiss) {
-    // Object samples resolve against per-pid *object*-map indexes, pinned at
-    // the same epoch ceiling the batch carried — a separate cache keyspace
-    // ("#obj") so the PC hot path shares nothing with this branch. Objects
-    // carry no caller PCs, so there is no arc/caller work here.
-    PinnedJitSource obj;
-    for (const auto& [pid, ceiling] : batch.ceilings) {
-      const core::VmRegistration* reg = nullptr;
-      for (const core::VmRegistration& r : resolver->registrations())
-        if (r.pid == pid) { reg = &r; break; }
-      if (reg == nullptr || reg->obj_map_dir.empty()) continue;
-      const std::string dir = reg->obj_map_dir;
-      obj.pins_[pid] = cache_.get(
-          session->id() + "#obj", pid, ceiling, [session, dir, pid = pid]() {
-            std::lock_guard<std::mutex> lock(session->world_mu_);
-            return memprof::load_object_index(session->world_, dir, pid).index;
-          });
-    }
+  // Object samples resolve against the per-pid *object*-map indexes, PC
+  // samples against the code-map indexes — both as pinned at enqueue.
+  const bool objects = batch.event == hw::EventKind::kObjDmiss;
+  const PinnedJitSource pins(*resolver, *batch.maps, objects);
+  telemetry_.counter("service.map_cache.hits").inc(pins.size());
+
+  if (objects) {
+    // Objects carry no caller PCs, so there is no arc/caller work here.
     const std::uint64_t resolve_t0 = support::monotonic_ns();
     core::RowMemo combined_memo;
     std::map<std::uint64_t, core::RowMemo> epoch_memos;
@@ -375,7 +379,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     std::uint64_t memo_epoch = ~0ull;
     for (const core::LoggedSample& sample : batch.samples) {
       const core::Resolution res = memprof::resolve_object(
-          obj.index_for(sample.pid, sample.epoch), sample.pc, sample.epoch);
+          pins.index_for(sample.pid, sample.epoch), sample.pc, sample.epoch);
       combined_memo.add(result.partial, batch.event, sample.pid, sample.epoch, res);
       if (epoch_profile == nullptr || sample.epoch != memo_epoch) {
         memo_epoch = sample.epoch;
@@ -390,25 +394,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     telemetry_.counter("service.records").inc(result.records);
     session->apply(batch.apply_seq, std::move(result));
     recycle_arena(std::move(batch.arena));
-    cache_.publish(telemetry_);
     return;
-  }
-
-  // Pin the code-map index generation each registered VM had at enqueue.
-  PinnedJitSource jit;
-  for (const auto& [pid, ceiling] : batch.ceilings) {
-    const core::VmRegistration* reg = nullptr;
-    for (const core::VmRegistration& r : resolver->registrations())
-      if (r.pid == pid) { reg = &r; break; }
-    if (reg == nullptr || reg->jit_map_dir.empty()) continue;
-    const std::string dir = reg->jit_map_dir;
-    jit.pins_[pid] = cache_.get(
-        session->id(), pid, ceiling, [session, dir, pid = pid]() {
-          std::lock_guard<std::mutex> lock(session->world_mu_);
-          core::CodeMapIndex index;
-          index.load(session->world_, dir, pid);
-          return index;
-        });
   }
 
   const std::uint64_t resolve_t0 = support::monotonic_ns();
@@ -428,7 +414,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
            std::size_t>
       arc_memo;
   for (const core::LoggedSample& sample : batch.samples) {
-    const core::Resolution res = resolver->resolve(sample, &jit);
+    const core::Resolution res = resolver->resolve(sample, &pins);
     combined_memo.add(result.partial, batch.event, sample.pid, sample.epoch, res);
     if (epoch_profile == nullptr || sample.epoch != memo_epoch) {
       memo_epoch = sample.epoch;
@@ -442,7 +428,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
       auto [cit, caller_new] = caller_memo.try_emplace(caller_key);
       if (caller_new)
         cit->second = resolver->resolve_pc(sample.caller_pc, hw::CpuMode::kUser,
-                                           sample.pid, sample.epoch, &jit);
+                                           sample.pid, sample.epoch, &pins);
       const core::Resolution& caller = cit->second;
       if (res.symbol_size != 0) {
         const auto arc_key =
@@ -466,7 +452,6 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   telemetry_.spans().record("service.batch.apply", "service", resolve_t1,
                             support::monotonic_ns(), batch.apply_seq, session->trace());
   recycle_arena(std::move(batch.arena));
-  cache_.publish(telemetry_);
 }
 
 std::unique_ptr<support::Arena> ProfileServer::rent_arena() {

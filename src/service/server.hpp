@@ -8,11 +8,12 @@
 // recycled per-batch arena — serially per session, preserving the stream's
 // sample order and sequence-number accounting — and enqueues them on the
 // session's bounded queue; a shared ThreadPool resolves batches
-// concurrently through the RCU-snapshot code-map cache and folds each into
-// one of the session's aggregation stripes in whatever order workers
-// finish. Order-recovering accumulators (DESIGN.md §14) make the online
-// aggregate byte-identical to offline viprof_report over the same logs, at
-// any thread count, stripe count and interleaving (DESIGN.md §10).
+// concurrently against the epoch-map index versions each batch pinned at
+// enqueue and folds each into one of the session's aggregation stripes in
+// whatever order workers finish. Order-recovering accumulators (DESIGN.md
+// §14) make the online aggregate byte-identical to offline viprof_report
+// over the same logs, at any thread count, stripe count and interleaving
+// (DESIGN.md §10).
 //
 // Overload: with kBackpressure a full queue blocks the sender (slow server
 // slows its clients); with kDropNewest the batch is dropped and *counted*
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "service/code_map_cache.hpp"
 #include "service/session.hpp"
 #include "service/transport.hpp"
 #include "service/wire.hpp"
@@ -50,7 +50,6 @@ struct ServerConfig {
   std::size_t ingest_threads = 2;
   std::size_t queue_capacity = 64;  // batches buffered per session
   OverloadPolicy policy = OverloadPolicy::kBackpressure;
-  std::size_t code_map_cache_capacity = 8;
   /// Aggregation stripes per session (DESIGN.md §14); 0 = one per ingest
   /// thread. Output is byte-identical at any value.
   std::size_t agg_stripes = 0;
@@ -163,7 +162,6 @@ class ProfileServer {
                              const std::vector<hw::EventKind>& events);
 
   support::Telemetry& telemetry() { return telemetry_; }
-  CodeMapCache& code_map_cache() { return cache_; }
   const ServerConfig& config() const { return config_; }
 
  private:
@@ -183,7 +181,6 @@ class ProfileServer {
 
   ServerConfig config_;
   support::Telemetry telemetry_;
-  CodeMapCache cache_;
   std::mutex arena_mu_;
   std::vector<std::unique_ptr<support::Arena>> arena_pool_;
   // Reader-heavy (every query and flush walks the session table) and a
@@ -191,7 +188,7 @@ class ProfileServer {
   mutable support::TracedSharedMutex sessions_mu_{"service.sessions"};
   std::map<std::string, std::shared_ptr<ServerSession>> sessions_;
   // The pool is declared last so its destructor (which joins workers that
-  // may still touch sessions/cache/telemetry) runs first.
+  // may still touch sessions/telemetry) runs first.
   support::ThreadPool pool_;
 };
 

@@ -2,30 +2,60 @@
 
 #include <algorithm>
 #include <optional>
-
-#include "core/code_map.hpp"
-#include "memprof/object_map.hpp"
+#include <utility>
 
 namespace viprof::service {
 
 namespace {
 
-/// "<dir>/<pid>/map.<epoch>" → pid, from the second-to-last component.
-std::optional<hw::Pid> pid_from_map_path(const std::string& path) {
+/// The index a streamed file belongs to, when it is an epoch map: a file
+/// named "map.*" or "omap.*" in a "<dir>/<pid>/" directory.
+struct MapPath {
+  std::string key;  // map_index_key() of the owning index
+  bool object = false;
+};
+
+std::optional<MapPath> classify_map_path(const std::string& path) {
   const std::size_t last = path.rfind('/');
   if (last == std::string::npos || last == 0) return std::nullopt;
   const std::size_t prev = path.rfind('/', last - 1);
   const std::size_t begin = prev == std::string::npos ? 0 : prev + 1;
   if (begin >= last) return std::nullopt;
-  hw::Pid pid = 0;
-  for (std::size_t i = begin; i < last; ++i) {
+  for (std::size_t i = begin; i < last; ++i)
     if (path[i] < '0' || path[i] > '9') return std::nullopt;
-    pid = pid * 10 + static_cast<hw::Pid>(path[i] - '0');
+  const std::string_view name = std::string_view(path).substr(last + 1);
+  for (const bool object : {false, true}) {
+    const std::string_view stem = object ? "omap." : "map.";
+    if (name.substr(0, stem.size()) == stem)
+      return MapPath{path.substr(0, last + 1 + stem.size()), object};
   }
-  return pid;
+  return std::nullopt;
 }
 
 }  // namespace
+
+std::string map_index_key(const std::string& dir, hw::Pid pid, bool object_maps) {
+  return dir + "/" + std::to_string(pid) + (object_maps ? "/omap." : "/map.");
+}
+
+ServerSession::ServerSession(std::string id, std::size_t queue_capacity,
+                             std::size_t stripes, support::Telemetry* telemetry)
+    : id_(std::move(id)), telemetry_(telemetry), queue_(queue_capacity) {
+  if (stripes == 0) stripes = 1;
+  stripes_.reserve(stripes);
+  for (std::size_t i = 0; i < stripes; ++i) stripes_.push_back(std::make_unique<Stripe>());
+  if (telemetry != nullptr) {
+    ingest_mu_.attach(*telemetry);
+    maps_mu_.attach(*telemetry);
+    world_mu_.attach(*telemetry);
+    for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
+    queue_.instrument(&telemetry->gauge("service.queue.depth"),
+                      &telemetry->histogram("service.queue.depth_hist", 0.0, 1.0, 64));
+    // Registered up front so both read in every snapshot, zero or not.
+    telemetry->counter("service.map_cache.hits");
+    telemetry->counter("service.map_cache.misses");
+  }
+}
 
 SessionStats ServerSession::stats() const {
   SessionStats out;
@@ -67,22 +97,53 @@ std::uint64_t ServerSession::registration_version() const {
 }
 
 void ServerSession::store_file(const std::string& path, std::string bytes) {
-  {
-    std::lock_guard<std::mutex> lock(world_mu_);
-    world_.write(path, std::move(bytes));
-  }
-  const auto epoch = core::CodeMapFile::epoch_from_path(path);
-  const auto pid = epoch ? pid_from_map_path(path) : std::nullopt;
-  if (epoch && pid) {
-    std::lock_guard<support::TracedMutex> lock(ingest_mu_);
-    auto [it, inserted] = ceilings_.try_emplace(*pid, *epoch);
-    if (!inserted && *epoch > it->second) it->second = *epoch;
-  }
   files_.fetch_add(1, std::memory_order_relaxed);
+  const std::optional<MapPath> map_path = classify_map_path(path);
+  if (!map_path) {
+    std::lock_guard<support::TracedMutex> lock(world_mu_);
+    world_.write(path, std::move(bytes));
+    return;
+  }
+  // Parse and salvage once, outside every lock. The file name carries the
+  // epoch, so even a fully corrupt file registers its epoch as truncated,
+  // exactly as the offline loaders do.
+  core::CodeMapFile code;
+  std::shared_ptr<const memprof::ObjectMapFile> object;
+  if (map_path->object) {
+    const auto hint = memprof::ObjectMapFile::epoch_from_path(path);
+    object = std::make_shared<const memprof::ObjectMapFile>(
+        memprof::ObjectMapFile::salvage(bytes, hint.value_or(0)).file);
+    code = object->to_code_map();
+  } else {
+    const auto hint = core::CodeMapFile::epoch_from_path(path);
+    code = core::CodeMapFile::salvage(bytes, hint.value_or(0)).file;
+  }
+
+  std::lock_guard<support::TracedMutex> lock(maps_mu_);
+  MapIndex& index = indexes_[map_path->key];
+  if (object) index.objects[path] = std::move(object);
+  index.versions.add(path, std::move(code));
+  // published_ only changes under maps_mu_, which we hold: reading it
+  // here needs no ingest_mu_.
+  auto versions = std::make_shared<MapVersions>(*published_);
+  (*versions)[map_path->key] = index.versions.current();
+  std::shared_ptr<const MapVersions> next = std::move(versions);
+  {
+    std::lock_guard<support::TracedMutex> publish(ingest_mu_);
+    published_.swap(next);  // the previous table is released outside the lock
+  }
+  if (telemetry_ != nullptr) telemetry_->counter("service.map_cache.misses").inc();
+}
+
+core::VersionedCodeMapIndex::Version ServerSession::map_version(
+    const std::string& key) const {
+  std::lock_guard<support::TracedMutex> lock(ingest_mu_);
+  const auto it = published_->find(key);
+  return it == published_->end() ? nullptr : it->second;
 }
 
 const core::ArchiveResolver* ServerSession::resolver() {
-  std::lock_guard<std::mutex> lock(world_mu_);
+  std::lock_guard<support::TracedMutex> lock(world_mu_);
   if (!resolver_ && world_.exists("archive/manifest")) {
     resolver_ = std::make_unique<core::ArchiveResolver>(
         world_, "archive", /*vm_aware=*/true, /*load_jit_maps=*/false);
@@ -142,14 +203,18 @@ void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
     std::lock_guard<std::mutex> lock(reg_mu_);
     regs = table_.all();
   }
-  std::lock_guard<std::mutex> lock(world_mu_);
-  for (const core::VmRegistration& reg : regs) {
-    if (reg.obj_map_dir.empty()) continue;
-    memprof::ObjectIndexLoad load =
-        memprof::load_object_index(world_, reg.obj_map_dir, reg.pid);
-    for (const memprof::ObjectMapFile& file : load.files)
-      sites.ingest(id_, reg.pid, file);
+  // Registration order, then path order: what load_object_index yields.
+  std::vector<std::pair<hw::Pid, std::shared_ptr<const memprof::ObjectMapFile>>> files;
+  {
+    std::lock_guard<support::TracedMutex> lock(maps_mu_);
+    for (const core::VmRegistration& reg : regs) {
+      if (reg.obj_map_dir.empty()) continue;
+      const auto it = indexes_.find(map_index_key(reg.obj_map_dir, reg.pid, true));
+      if (it == indexes_.end()) continue;
+      for (const auto& [path, file] : it->second.objects) files.emplace_back(reg.pid, file);
+    }
   }
+  for (const auto& [pid, file] : files) sites.ingest(id_, pid, *file);
 }
 
 ServerSession::FlushDelta ServerSession::take_flush() {

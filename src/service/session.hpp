@@ -1,13 +1,17 @@
 // Server-side state of one streamed profiling session.
 //
 // A session is one client's world: the files it streamed in (archive
-// manifest, boot maps, epoch code maps) in a private VFS, its registration
-// table, the per-event stream parsers with their sequence watermarks, a
-// bounded batch queue toward the ingest workers, and the rolling
-// aggregates. Locks, never nested with each other:
-//   ingest_mu_   — parsers, epoch ceilings, enqueue sequencing (receiver)
-//   world_mu_    — the VFS and the lazily built resolver (receiver + workers)
+// manifest and boot maps in a private VFS; epoch code and object maps in
+// per-VM versioned indexes), its registration table, the per-event stream
+// parsers with their sequence watermarks, a bounded batch queue toward the
+// ingest workers, and the rolling aggregates. Locks:
+//   ingest_mu_   — parsers, published map versions, enqueue sequencing
+//   maps_mu_     — the epoch-map indexes (append path); held while
+//                  publishing under ingest_mu_, never taken inside it
+//   world_mu_    — the VFS and the lazily built resolver (receiver)
 //   stripe locks — one per aggregation stripe (workers + queries)
+// Ingest workers take no session lock but their stripe's: a batch carries
+// the resolver and the map versions it resolves against.
 //
 // Aggregation is striped (DESIGN.md §14): a batch lands on stripe
 // (apply_seq % stripes) and folds into that stripe's order-recovering
@@ -36,10 +40,12 @@
 
 #include "core/archive.hpp"
 #include "core/callgraph.hpp"
+#include "core/code_map.hpp"
 #include "core/registration.hpp"
 #include "core/report.hpp"
 #include "core/sample_log.hpp"
 #include "core/striped_agg.hpp"
+#include "memprof/object_map.hpp"
 #include "memprof/site_table.hpp"
 #include "support/arena.hpp"
 #include "support/bounded_queue.hpp"
@@ -47,9 +53,17 @@
 
 namespace viprof::service {
 
-/// One parsed sample batch queued for ingest. `ceilings` snapshots, per
-/// pid, the highest code-map epoch announced before this batch — the
-/// worker resolves against exactly that generation of the map index.
+/// Key of one VM's epoch-map index: the path prefix its maps share, as
+/// CodeMapIndex::load and memprof::load_object_index list them —
+/// "<dir>/<pid>/map." for code maps, "<dir>/<pid>/omap." for object maps.
+std::string map_index_key(const std::string& dir, hw::Pid pid, bool object_maps);
+
+/// The published version of every epoch-map index of a session, by key.
+using MapVersions = std::map<std::string, core::VersionedCodeMapIndex::Version>;
+
+/// One parsed sample batch queued for ingest. `maps` pins the map index
+/// versions published before this batch was enqueued — the worker resolves
+/// against exactly those, with `resolver` as it stood at enqueue.
 /// Samples are decoded straight into the batch's arena (one bump-allocated
 /// block chain per batch, recycled by the server after apply) — the wire
 /// payload is never copied into per-frame heap vectors.
@@ -58,7 +72,10 @@ struct Batch {
   support::ArenaVector<core::LoggedSample> samples;
   std::unique_ptr<support::Arena> arena;  // owns the samples' storage
   std::uint64_t apply_seq = 0;
-  std::map<hw::Pid, std::uint64_t> ceilings;
+  std::shared_ptr<const MapVersions> maps;
+  /// nullptr when no archive manifest had been streamed at enqueue; owned
+  /// by the session, which outlives the batch.
+  const core::ArchiveResolver* resolver = nullptr;
 };
 
 /// A worker's resolved batch: partial aggregates interned per batch (one
@@ -91,23 +108,11 @@ class ProfileServer;
 class ServerSession {
  public:
   /// `stripes` aggregation stripes (clamped to >= 1). `telemetry` (may be
-  /// null) hosts this session's lock contention metrics and queue-depth
-  /// instrumentation; the server passes its own hub so every session folds
-  /// into one observable registry.
+  /// null) hosts this session's lock contention metrics, queue-depth
+  /// instrumentation and map-index counters; the server passes its own hub
+  /// so every session folds into one observable registry.
   ServerSession(std::string id, std::size_t queue_capacity, std::size_t stripes = 1,
-                support::Telemetry* telemetry = nullptr)
-      : id_(std::move(id)), queue_(queue_capacity) {
-    if (stripes == 0) stripes = 1;
-    stripes_.reserve(stripes);
-    for (std::size_t i = 0; i < stripes; ++i)
-      stripes_.push_back(std::make_unique<Stripe>());
-    if (telemetry != nullptr) {
-      ingest_mu_.attach(*telemetry);
-      for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
-      queue_.instrument(&telemetry->gauge("service.queue.depth"),
-                        &telemetry->histogram("service.queue.depth_hist", 0.0, 1.0, 64));
-    }
-  }
+                support::Telemetry* telemetry = nullptr);
 
   const std::string& id() const { return id_; }
 
@@ -127,13 +132,20 @@ class ServerSession {
   bool deregister_vm(hw::Pid pid);
   std::uint64_t registration_version() const;
 
-  /// Stores a streamed file in the session world; code-map paths bump the
-  /// owning pid's epoch ceiling.
+  /// Stores a streamed file. An epoch code or object map ("<dir>/<pid>/
+  /// map.<E>" or ".../omap.<E>") is parsed and salvaged once, here,
+  /// appended to its VM's versioned index, and the new version published
+  /// for the next batch to pin; any other file goes to the session world.
   void store_file(const std::string& path, std::string bytes);
 
+  /// The published version of the index under `key` (see map_index_key),
+  /// or nullptr when no map with that prefix has been streamed.
+  core::VersionedCodeMapIndex::Version map_version(const std::string& key) const;
+
   /// The session's resolver, built from the streamed archive manifest on
-  /// first use (jit maps stay external — workers resolve through the
-  /// shared cache). nullptr until the manifest has been streamed.
+  /// first use (epoch maps stay external — workers resolve through the
+  /// versions their batch pinned). nullptr until the manifest has been
+  /// streamed.
   const core::ArchiveResolver* resolver();
 
   /// Combined rolling profile, per-event profiles merged in canonical
@@ -148,7 +160,8 @@ class ServerSession {
 
   /// Folds the allocation-site table derived from every streamed object
   /// map of every registered VM into `sites` (additive across sessions;
-  /// per-(pid, obj_id) dedup makes re-folds idempotent).
+  /// per-(pid, obj_id) dedup makes re-folds idempotent). Reads the maps as
+  /// parsed on arrival.
   void fold_object_sites(memprof::SiteTable& sites) const;
 
   /// Everything applied since the previous take_flush(): the increment the
@@ -208,14 +221,27 @@ class ServerSession {
   const std::string id_;
   std::atomic<std::uint64_t> trace_id_{0};
 
+  support::Telemetry* const telemetry_;
+
   // ---- receiver side (ingest_mu_)
   mutable support::TracedMutex ingest_mu_{"service.session.ingest"};
   core::SampleStreamParser parsers_[hw::kEventKindCount];
-  std::map<hw::Pid, std::uint64_t> ceilings_;
+  /// Replaced (never mutated) on every map arrival; batches share it.
+  std::shared_ptr<const MapVersions> published_ = std::make_shared<const MapVersions>();
   std::uint64_t next_enqueue_seq_ = 0;
 
+  // ---- epoch maps (maps_mu_). The lock keeps the name of the code-map
+  // cache it replaced, so contention readings stay comparable.
+  mutable support::TracedMutex maps_mu_{"service.map_cache"};
+  struct MapIndex {
+    core::VersionedCodeMapIndex versions;
+    /// Object maps only: the files as parsed, by path (memprof site folds).
+    std::map<std::string, std::shared_ptr<const memprof::ObjectMapFile>> objects;
+  };
+  std::map<std::string, MapIndex> indexes_;  // by map_index_key()
+
   // ---- streamed world (world_mu_)
-  mutable std::mutex world_mu_;
+  mutable support::TracedMutex world_mu_{"service.session.world"};
   os::Vfs world_;
   std::unique_ptr<core::ArchiveResolver> resolver_;
 

@@ -62,6 +62,7 @@ CodeMapIndex random_index(support::Xoshiro256& rng, std::uint64_t max_epochs) {
     }
     index.add(std::move(file));
   }
+  index.prepare();  // every map into the flattened view under test
   return index;
 }
 

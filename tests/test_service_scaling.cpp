@@ -4,11 +4,11 @@
 //  - Stripe sweep: the online-vs-offline byte-identity anchor must hold at
 //    every (ingest threads, aggregation stripes) combination — the stripe
 //    count is an internal throughput knob, never an observable.
-//  - Concurrency stress: ingest, online queries, store flushes and RCU
-//    snapshot installs in the shared code-map cache all race on purpose.
-//    These tests exist to run under TSan in the sanitizer CI stage (ctest
-//    -L service): the lock-free read path and the striped apply path must
-//    be exactly as data-race-free as the single-mutex design they replaced.
+//  - Concurrency stress: ingest, online queries, store flushes and epoch-map
+//    version publication all race on purpose. These tests exist to run
+//    under TSan in the sanitizer CI stage (ctest -L service): the version
+//    pins and the striped apply path must be exactly as data-race-free as
+//    the single-mutex design they replaced.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 
 #include "core/code_map.hpp"
 #include "service/client.hpp"
-#include "service/code_map_cache.hpp"
 #include "service/scenario.hpp"
 #include "service/server.hpp"
 
@@ -113,74 +112,65 @@ TEST(ServiceScalingStress, ConcurrentIngestQueriesAndFlushes) {
   EXPECT_EQ(server.session_report("stress", 30, kEvents), offline);
 }
 
-TEST(ServiceScalingStress, CodeMapCacheSnapshotInstallUnderReaders) {
-  // Hammer the RCU read path while writers install new snapshot
-  // generations and evict over capacity: pins handed out must stay valid,
-  // concurrent misses on one key must build once, and (under TSan) the
-  // lock-free hit path must stay race-free against the copy-on-write swap.
-  CodeMapCache cache(4);  // small: every installer round forces evictions
-
-  auto build = [](std::uint64_t epoch) {
-    return [epoch]() {
-      core::CodeMapFile file;
-      file.epoch = epoch;
-      core::CodeMapEntry entry;
-      entry.address = 0x1000 * (epoch + 1);
-      entry.size = 0x800;
-      entry.symbol = "m" + std::to_string(epoch);
-      file.entries.push_back(std::move(entry));
-      core::CodeMapIndex index;
-      index.add(std::move(file));
-      return index;
-    };
-  };
-  std::atomic<std::uint64_t> builds{0};
-  auto counted_build = [&builds, &build](std::uint64_t epoch) {
-    return [&builds, fn = build(epoch)]() {
-      builds.fetch_add(1, std::memory_order_relaxed);
-      return fn();
-    };
-  };
-
+TEST(ServiceScalingStress, MapVersionsPublishUnderReaders) {
+  // One appender streams epoch maps into a session — in order, with every
+  // 16th path re-sent (the rebuild path) — while readers pin the published
+  // version and resolve against it, as ingest workers do. A pinned version
+  // must stay whole and answer for exactly the epochs it was published
+  // with, however many versions the appender publishes meanwhile; under
+  // TSan the publication path must be race-free.
+  ServerSession session("stress", 4);
+  constexpr std::uint64_t kEpochs = 200;
   constexpr int kReaders = 4;
-  constexpr int kRounds = 300;
-  std::atomic<bool> start{false};
-  std::vector<std::thread> threads;
-  // Readers: loop over a hot working set of 2 keys (stays resident).
+  const std::string key = map_index_key("jit_maps", 7, false);
+  const auto map_of = [](std::uint64_t epoch) {
+    core::CodeMapFile file;
+    file.epoch = epoch;
+    for (std::uint64_t i = 0; i < 8; ++i)
+      file.entries.push_back({0x10000 * (epoch + 1) + 0x100 * i, 0x80,
+                              "m" + std::to_string(epoch) + "_" + std::to_string(i)});
+    return file.serialize();
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> resolved{0};
+  std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&, t] {
-      while (!start.load(std::memory_order_acquire)) {
-      }
-      for (int i = 0; i < kRounds; ++i) {
-        const std::uint64_t ceiling = static_cast<std::uint64_t>(t % 2);
-        const CodeMapCache::IndexPtr pin =
-            cache.get("s", 7, ceiling, counted_build(ceiling));
-        ASSERT_NE(pin, nullptr);
-        // The pin is usable even if the entry is evicted right now.
-        pin->resolve(0x1000 * (ceiling + 1) + 4, ceiling);
+    readers.emplace_back([&, t] {
+      // Every reader also resolves a few rounds after the last publication,
+      // however fast the appender finishes.
+      std::uint64_t round = static_cast<std::uint64_t>(t);
+      for (int after = 0; after < 16;) {
+        if (done.load(std::memory_order_acquire)) ++after;
+        const core::VersionedCodeMapIndex::Version pin = session.map_version(key);
+        if (pin == nullptr) continue;
+        const std::uint64_t top = pin->max_epoch();
+        ASSERT_EQ(pin->map_count(), top + 1);
+        for (std::uint64_t e : {top, round % (top + 1)}) {
+          const auto lk = pin->lookup(0x10000 * (e + 1) + 0x100 * (round % 8) + 4, e);
+          ASSERT_TRUE(lk.hit.has_value());
+          EXPECT_EQ(lk.hit->symbol, "m" + std::to_string(e) + "_" + std::to_string(round % 8));
+          EXPECT_EQ(lk.hit->maps_searched, 1u);
+          EXPECT_EQ(pin->lookup(0x10000 * (top + 2), top).miss, core::JitLookupMiss::kNotFound);
+        }
+        ++round;
+        resolved.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
-  // Installer: streams new generations through, forcing snapshot swaps
-  // and LRU eviction churn against the readers.
-  threads.emplace_back([&] {
-    while (!start.load(std::memory_order_acquire)) {
-    }
-    for (int i = 0; i < kRounds; ++i) {
-      const std::uint64_t ceiling = 100 + static_cast<std::uint64_t>(i);
-      cache.get("s", 9, ceiling, counted_build(ceiling));
-    }
-  });
-  start.store(true, std::memory_order_release);
-  for (std::thread& t : threads) t.join();
+  for (std::uint64_t e = 0; e < kEpochs; ++e) {
+    session.store_file(core::CodeMapFile::path_for("jit_maps", 7, e), map_of(e));
+    if (e % 16 == 15)
+      session.store_file(core::CodeMapFile::path_for("jit_maps", 7, e - 8), map_of(e - 8));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
 
-  // The 2 hot keys may be rebuilt if the installer churn evicts them, but
-  // concurrent misses coalesce: far fewer builds than reader calls.
-  EXPECT_GE(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), builds.load());
-  EXPECT_LT(builds.load(),
-            static_cast<std::uint64_t>(kReaders * kRounds + kRounds));
-  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_GE(resolved.load(), 16u * kReaders);
+  const core::VersionedCodeMapIndex::Version last = session.map_version(key);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->map_count(), kEpochs);
+  EXPECT_EQ(last->max_epoch(), kEpochs - 1);
 }
 
 }  // namespace

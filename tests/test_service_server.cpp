@@ -195,37 +195,69 @@ TEST(ProfileServer, FramesBeforeOpenSessionAreRejected) {
   EXPECT_TRUE(server.session_ids().empty());
 }
 
-TEST(ProfileServer, CodeMapCacheIsSharedAndBounded) {
-  ScenarioConfig sc = small_scenario();
-  sc.vms = 3;  // every batch pins 3 (pid, ceiling) keys — the 2-entry
-               // cache must evict on every batch, never corrupt results
-  auto scenario = record_scenario(sc);
-
+// Each streamed map publishes a new index version for its (session, pid);
+// nothing caches versions beyond that. A version lives while the session
+// publishes it or a queued batch pins it — and no longer.
+TEST(ProfileServer, UnpinnedMapVersionsAreFreed) {
   ServerConfig config;
   config.ingest_threads = 2;
-  config.code_map_cache_capacity = 2;
   ProfileServer server(config);
-  replay(server, scenario->vfs(), "s", 48);
-  server.drain();
+  auto conn = server.connect("c");
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kOpenSession, "s")));
+  const auto send_map = [&conn](std::uint64_t epoch) {
+    core::CodeMapFile file;
+    file.epoch = epoch;
+    file.entries.push_back({0x1000 * (epoch + 1), 0x100, "m" + std::to_string(epoch)});
+    return conn->send(encode_frame(
+        FrameType::kFile,
+        core::CodeMapFile::path_for("jit_maps", 7, epoch) + "\n" + file.serialize()));
+  };
+  const std::string key = map_index_key("jit_maps", 7, false);
 
-  EXPECT_LE(server.code_map_cache().capacity(), 2u);
-  // 3 pids cycling through 2 slots guarantee misses and evictions; whether
-  // ingest ever *hits* depends on worker interleaving, so exercise the hit
-  // path deterministically with a direct probe instead.
-  EXPECT_GT(server.code_map_cache().misses(), 0u);
-  EXPECT_GT(server.code_map_cache().evictions(), 0u);
-  const std::uint64_t hits_before = server.code_map_cache().hits();
-  const auto probe = [] { return core::CodeMapIndex(); };
-  (void)server.code_map_cache().get("probe", 999, 0, probe);  // miss
-  (void)server.code_map_cache().get("probe", 999, 0, probe);  // hit
-  EXPECT_EQ(server.code_map_cache().hits(), hits_before + 1);
-  // Metrics are published to the server's registry as monotonic counters.
+  std::shared_ptr<ServerSession> session = server.session("s");
+  ASSERT_NE(session, nullptr);
+  EXPECT_EQ(session->map_version(key), nullptr);
+  ASSERT_TRUE(send_map(0));
+  std::weak_ptr<const core::CodeMapIndex> v0 = session->map_version(key);
+  ASSERT_FALSE(v0.expired());
+  ASSERT_TRUE(send_map(1));
+  EXPECT_TRUE(v0.expired());  // superseded before any batch pinned it
+
+  std::weak_ptr<const core::CodeMapIndex> v1 = session->map_version(key);
+  ASSERT_FALSE(v1.expired());
+  EXPECT_EQ(v1.lock()->map_count(), 2u);
+  // This batch pins v1 (no manifest: it resolves to nothing, but it still
+  // travels through the queue holding its versions).
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kSampleBatch, "batch GLOBAL_POWER_EVENTS 0\n")));
+  ASSERT_TRUE(send_map(2));
+  std::weak_ptr<const core::CodeMapIndex> v2 = session->map_version(key);
+  server.drain();
+  EXPECT_TRUE(v1.expired());  // the batch is done and v2 superseded it
+  ASSERT_FALSE(v2.expired());
+  EXPECT_EQ(v2.lock()->map_count(), 3u);
+
   const auto snap = server.telemetry().snapshot();
-  EXPECT_GT(snap.counter("service.map_cache.misses"), 0u);
-  EXPECT_GT(snap.counter("service.map_cache.evictions"), 0u);
-  // A tiny cache costs rebuilds, never correctness.
-  EXPECT_EQ(server.session_report("s", 20, kEvents),
-            offline_render(scenario->vfs(), kEvents, 20));
+  EXPECT_EQ(snap.counter("service.map_cache.misses"), 3u);  // one per version
+
+  // drop_session frees the session's indexes once its last holder lets go.
+  EXPECT_TRUE(server.drop_session("s"));
+  session.reset();
+  conn.reset();
+  server.drain();
+  EXPECT_TRUE(v2.expired());
+}
+
+TEST(ProfileServer, SessionWorldLockIsTraced) {
+  auto scenario = record_scenario(small_scenario());
+  ProfileServer server;
+  replay(server, scenario->vfs(), "s");
+  server.drain();
+  const std::string json = server.query("stats --json");
+  EXPECT_NE(json.find("lock.service.session.world.wait_ns"), std::string::npos);
+  EXPECT_NE(json.find("lock.service.map_cache.wait_ns"), std::string::npos);
+  const auto snap = server.telemetry().snapshot();
+  EXPECT_GT(snap.counter("lock.service.session.world.acquired"), 0u);
+  EXPECT_GT(snap.counter("service.map_cache.hits"), 0u);
 }
 
 TEST(ProfileServer, SnapshotRoundTripsThroughQueryModule) {
