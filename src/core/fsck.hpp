@@ -1,24 +1,31 @@
 // Integrity scan of an exported session tree — the library behind
 // viprof_fsck (the e2fsck analogue for a sample tree).
 //
-// Scans every per-event sample log (record framing: sequence numbers +
-// checksums) and every epoch code map (entry count + checksum trailer),
-// reports findings through the self-telemetry registry (fsck.* counters,
-// DESIGN.md §8) and classifies the whole tree:
+// fsck_tree walks a table of per-format handlers (DESIGN.md §7): core's
+// sample logs and epoch code maps, plus memprof's object maps
+// (memprof/fsck.hpp; core cannot depend on memprof). Findings go to the
+// self-telemetry registry (fsck.* counters, DESIGN.md §8), and the tree
+// gets one verdict:
 //
 //   kClean         — every artifact verified end to end;
 //   kSalvaged      — damage found, but every damaged artifact yielded at
 //                    least part of its content (degraded, usable);
-//   kUnrecoverable — some damaged artifact yielded nothing usable (a sample
-//                    log with no verifiable record, a map with no
-//                    salvageable entry).
+//   kUnrecoverable — some damaged artifact yielded nothing, and its header
+//                    (if any) does not prove it had nothing to yield: a
+//                    sample log with no verifiable record, a map with no
+//                    salvageable entry.
 //
 // The verdict values double as the viprof_fsck exit codes; usage errors
 // exit with kFsckExitUsage.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "os/vfs.hpp"
 #include "support/telemetry.hpp"
@@ -52,24 +59,51 @@ struct FsckOptions {
   bool verbose = true;
 };
 
+/// One file's findings, as its handler reports them.
+struct FsckFile {
+  bool intact = true;
+  /// Content units recovered (records, entries), and the count the file's
+  /// header declares — nullopt when it has no readable count. A damaged
+  /// file is a total loss when it recovered nothing and its header does
+  /// not prove there was nothing to recover.
+  std::uint64_t salvaged = 0;
+  std::optional<std::uint64_t> declared;
+  /// Increments of the handler's counters, in FsckHandler::counters order.
+  std::vector<std::uint64_t> counts;
+  std::string detail;  // newline-terminated finding, or empty
+};
+
+struct FsckReport;
+
+/// One file format fsck knows. `files` lists the format's paths in `in`,
+/// in report order; `check` verifies one and, when `out` is non-null,
+/// writes its recovered form there (writing nothing leaves it out of the
+/// recovery tree). Every listed path counts as handled; the rest of the
+/// tree is copied verbatim.
+struct FsckHandler {
+  std::vector<std::string> (*files)(const os::Vfs& in, const FsckOptions& opts);
+  FsckFile (*check)(const os::Vfs& in, const std::string& path, const FsckOptions& opts,
+                    os::Vfs* out);
+  /// fsck.* counters: per intact / damaged / unrecoverable file (empty
+  /// name = not counted), then the handler's own, summed over files.
+  std::string intact_counter;
+  std::string damaged_counter;
+  std::string dead_counter;
+  std::vector<std::string> counters;
+  /// This format's part of the one-line summary; empty to leave it out.
+  std::string (*summary)(const FsckReport& report);
+};
+
 struct FsckReport {
   FsckVerdict verdict = FsckVerdict::kClean;
   bool corrupt = false;  // any damage at all (verdict != kClean)
 
-  // Sample logs.
-  std::uint64_t logs_scanned = 0;
-  std::uint64_t valid_records = 0;
-  std::uint64_t salvaged_records = 0;
-  std::uint64_t discarded_lines = 0;
-  std::uint64_t missing_records = 0;
-  std::uint64_t duplicate_records = 0;
-  std::uint64_t dead_logs = 0;  // corrupt logs with nothing verifiable
-
-  // Epoch code maps.
-  std::uint64_t maps_intact = 0;
-  std::uint64_t maps_truncated = 0;
-  std::uint64_t map_entries_salvaged = 0;
-  std::uint64_t dead_maps = 0;  // truncated maps with zero salvaged entries
+  /// This scan's total of every fsck.* counter the handlers declare.
+  std::map<std::string, std::uint64_t, std::less<>> counts;
+  std::uint64_t count(std::string_view counter) const {
+    const auto it = counts.find(counter);
+    return it == counts.end() ? 0 : it->second;
+  }
 
   std::string details;  // per-file findings (verbose mode)
   std::string summary;  // one-line verdict summary
@@ -79,10 +113,21 @@ struct FsckReport {
   support::TelemetrySnapshot metrics;
 };
 
-/// Scans the tree in `in`. When opts.write_recovery, the recoverable subset
-/// is written into `out` (must be non-null then). Findings are reported
-/// through `telemetry` (fsck.* counters) and mirrored in the returned report.
+/// Paths in `in` whose file name starts with `prefix`, in listing order.
+std::vector<std::string> fsck_files_named(const os::Vfs& in, std::string_view prefix);
+
+/// The per-event sample logs under opts.samples_dir.
+FsckHandler sample_log_fsck_handler();
+/// The epoch code maps (`map.<epoch>` files) anywhere in the tree.
+FsckHandler code_map_fsck_handler();
+
+/// Scans the tree in `in` with `handlers`, in order. When
+/// opts.write_recovery, the recoverable subset is written into `out` (must
+/// be non-null then). Findings are reported through `telemetry` (fsck.*
+/// counters) and mirrored in the returned report.
 FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& telemetry,
-                     const FsckOptions& opts = {});
+                     const FsckOptions& opts = {},
+                     const std::vector<FsckHandler>& handlers = {
+                         sample_log_fsck_handler(), code_map_fsck_handler()});
 
 }  // namespace viprof::core

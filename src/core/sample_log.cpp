@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "support/arena.hpp"
-#include "support/format.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::core {
 
@@ -25,10 +25,8 @@ void SampleLogWriter::append(hw::EventKind event, const LoggedSample& s) {
       s.pid,
       static_cast<unsigned long long>(s.epoch),
       static_cast<unsigned long long>(s.cycle));
-  const std::uint32_t crc = support::fnv1a(buf, static_cast<std::size_t>(body));
-  std::snprintf(buf + body, sizeof buf - static_cast<std::size_t>(body), " %08x\n",
-                crc);
-  pending_[i] += buf;
+  support::framed::append_frame(pending_[i],
+                                std::string_view(buf, static_cast<std::size_t>(body)));
   ++pending_records_[i];
   ++written_[i];
 }
@@ -98,73 +96,56 @@ std::vector<LoggedSample> SampleLogReader::read(const os::Vfs& vfs,
   return read_checked(vfs, dir, event, status);
 }
 
+namespace {
+
+// "<pc> <caller> <mode> <pid> <epoch> <cycle>": the payload after the
+// frame's sequence number.
+bool parse_record(std::string_view line, LoggedSample& s) {
+  std::uint64_t pc = 0, caller = 0, pid = 0, epoch = 0, cycle = 0;
+  std::string_view mode;
+  if (!support::scan_hex64(line, pc) || !support::scan_hex64(line, caller) ||
+      !support::scan_token(line, mode) || mode.size() != 1 ||
+      !support::scan_u64s(line, {&pid, &epoch, &cycle}) || pid > 0xffffffffull ||
+      !support::at_end(line)) {
+    return false;
+  }
+  s.pc = pc;
+  s.caller_pc = caller;
+  s.mode = mode[0] == 'k'   ? hw::CpuMode::kKernel
+           : mode[0] == 'h' ? hw::CpuMode::kHypervisor
+                            : hw::CpuMode::kUser;
+  s.pid = static_cast<hw::Pid>(pid);
+  s.epoch = epoch;
+  s.cycle = cycle;
+  return true;
+}
+
+}  // namespace
+
 template <typename Sink>
 void SampleStreamParser::parse_into(std::string_view text, Sink& out) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    const bool unterminated = nl == std::string_view::npos;
-    if (unterminated) nl = text.size();
-    const std::size_t len = nl - pos;
+  // A torn or overwritten line is skipped and counted, never mis-parsed:
+  // the checksum makes accepting a *wrong* record vanishingly unlikely. A
+  // replayed batch that had partially landed shows as duplicate seqs.
+  support::framed::for_each_frame(
+      text, seq_, /*skip_empty=*/false, [&](const support::framed::Frame& f) {
+        LoggedSample s;
+        if (!parse_record(f.payload, s)) {
+          seq_.torn(f.bytes);
+        } else if (seq_.accept(f.seq)) {
+          out.push_back(s);
+        }
+      });
 
-    // Verify the frame: "<seq> <pc> <caller> <mode> <pid> <epoch> <cycle> <crc>"
-    // where <crc> is FNV-1a over everything before its separating space.
-    bool ok = !unterminated && len >= 10;
-    unsigned long long seq = 0, pc = 0, caller = 0, epoch = 0, cycle = 0;
-    unsigned pid = 0, crc_read = 0;
-    char mode = 'u';
-    if (ok) {
-      const std::size_t last_space = text.rfind(' ', nl - 1);
-      ok = last_space != std::string_view::npos && last_space > pos &&
-           nl - last_space - 1 == 8;
-      if (ok) {
-        const std::string body(text.substr(pos, last_space - pos));
-        const std::string crc_text(text.substr(last_space + 1, 8));
-        char extra = 0;
-        ok = std::sscanf(body.c_str(), "%llu %llx %llx %c %u %llu %llu %c", &seq,
-                         &pc, &caller, &mode, &pid, &epoch, &cycle, &extra) == 7 &&
-             std::sscanf(crc_text.c_str(), "%8x", &crc_read) == 1 &&
-             support::fnv1a(body) == crc_read;
-      }
-    }
-
-    if (!ok) {
-      // Torn or overwritten bytes: resynchronise at the next newline. The
-      // checksum makes accepting a *wrong* record vanishingly unlikely, so
-      // skipping is safe — the damage is counted, never mis-parsed.
-      status_.corrupt = true;
-      ++status_.discarded_lines;
-      status_.discarded_bytes += len + (unterminated ? 0 : 1);
-      pos = nl + (unterminated ? 0 : 1);
-      if (unterminated) break;
-      continue;
-    }
-
-    if (seq < next_expected_) {
-      // A replayed batch that had partially landed: drop the duplicate.
-      ++status_.duplicate_records;
-      pos = nl + 1;
-      continue;
-    }
-    if (seq > next_expected_) status_.missing_records += seq - next_expected_;
-    next_expected_ = seq + 1;
-    status_.max_seq = seq;
-
-    LoggedSample s;
-    s.pc = pc;
-    s.caller_pc = caller;
-    s.mode = mode == 'k' ? hw::CpuMode::kKernel
-             : mode == 'h' ? hw::CpuMode::kHypervisor
-                           : hw::CpuMode::kUser;
-    s.pid = pid;
-    s.epoch = epoch;
-    s.cycle = cycle;
-    out.push_back(s);
-    ++status_.valid;
-    pos = nl + 1;
-  }
-
-  if (status_.corrupt) status_.salvaged = status_.valid;
+  const support::framed::LineTally& t = seq_.tally();
+  status_.corrupt = t.torn_lines != 0;
+  status_.valid = t.verified;
+  status_.salvaged = status_.corrupt ? t.verified : 0;
+  status_.discarded_lines = t.torn_lines;
+  status_.discarded_bytes = t.torn_bytes;
+  status_.duplicate_records = t.dup;
+  status_.missing_records = t.gap;
+  status_.max_seq = t.verified != 0 ? seq_.next_expected() - 1 : 0;
 }
 
 template void SampleStreamParser::parse_into(std::string_view,

@@ -1,6 +1,6 @@
 #include "service/wire.hpp"
 
-#include "support/format.hpp"
+#include "support/hash.hpp"
 
 namespace viprof::service {
 

@@ -1,7 +1,7 @@
 // Segment files: the store's on-disk unit, framed for salvage.
 //
-// A segment is an append-only text file of records using the §7 framing
-// discipline (sample_log.hpp): every line is `body SP crc8hex`, lines carry
+// A segment is an append-only text file of records in the §7 line framing
+// (support/framed.hpp): every line is `<seq> body SP crc8hex`, lines carry
 // strictly increasing sequence numbers, and a reader verifies each line
 // independently — a torn tail or flipped bit costs exactly the damaged
 // lines, never the file. Record types:
@@ -47,7 +47,6 @@ class SegmentWriter {
   std::string encode_seal(std::uint64_t interval_count);
 
  private:
-  std::string frame(const std::string& body);
   std::uint64_t intern(const std::string& s, std::string& out);
 
   std::uint64_t segment_id_;

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "support/hash.hpp"  // fnv1a lived here before support/hash.hpp existed
 
 namespace viprof::support {
 

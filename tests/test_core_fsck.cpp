@@ -5,6 +5,8 @@
 #include "core/code_map.hpp"
 #include "core/fsck.hpp"
 #include "core/sample_log.hpp"
+#include "memprof/fsck.hpp"
+#include "memprof/object_map.hpp"
 #include "os/vfs.hpp"
 
 namespace viprof::core {
@@ -52,8 +54,8 @@ TEST(Fsck, CleanTreeVerdict) {
 
   EXPECT_EQ(report.verdict, FsckVerdict::kClean);
   EXPECT_FALSE(report.corrupt);
-  EXPECT_EQ(report.valid_records, 8u);
-  EXPECT_EQ(report.maps_intact, 1u);
+  EXPECT_EQ(report.count("fsck.samples.valid"), 8u);
+  EXPECT_EQ(report.count("fsck.maps.intact"), 1u);
   EXPECT_EQ(static_cast<int>(report.verdict), kFsckExitClean);
   // Findings flow through the registry.
   EXPECT_EQ(report.metrics.counter("fsck.samples.valid"), 8u);
@@ -71,10 +73,10 @@ TEST(Fsck, TruncatedMapWithSalvageableEntriesIsSalvaged) {
 
   EXPECT_EQ(report.verdict, FsckVerdict::kSalvaged);
   EXPECT_TRUE(report.corrupt);
-  EXPECT_EQ(report.maps_intact, 1u);
-  EXPECT_EQ(report.maps_truncated, 1u);
-  EXPECT_GT(report.map_entries_salvaged, 0u);
-  EXPECT_EQ(report.dead_maps, 0u);
+  EXPECT_EQ(report.count("fsck.maps.intact"), 1u);
+  EXPECT_EQ(report.count("fsck.maps.truncated"), 1u);
+  EXPECT_GT(report.count("fsck.maps.entries_salvaged"), 0u);
+  EXPECT_EQ(report.count("fsck.maps.unrecoverable"), 0u);
   EXPECT_EQ(static_cast<int>(report.verdict), kFsckExitSalvaged);
   EXPECT_EQ(report.metrics.counter("fsck.maps.truncated"), 1u);
   EXPECT_DOUBLE_EQ(report.metrics.gauge("fsck.verdict"), 1.0);
@@ -89,8 +91,8 @@ TEST(Fsck, LogWithNothingVerifiableIsUnrecoverable) {
   const FsckReport report = fsck_tree(vfs, nullptr, tele);
 
   EXPECT_EQ(report.verdict, FsckVerdict::kUnrecoverable);
-  EXPECT_EQ(report.valid_records, 0u);
-  EXPECT_EQ(report.dead_logs, 1u);
+  EXPECT_EQ(report.count("fsck.samples.valid"), 0u);
+  EXPECT_EQ(report.count("fsck.logs.unrecoverable"), 1u);
   EXPECT_EQ(static_cast<int>(report.verdict), kFsckExitUnrecoverable);
   EXPECT_EQ(report.metrics.counter("fsck.logs.unrecoverable"), 1u);
   EXPECT_DOUBLE_EQ(report.metrics.gauge("fsck.verdict"), 2.0);
@@ -116,15 +118,47 @@ TEST(Fsck, CorruptLogWithSurvivorsIsSalvagedAndRecoveryRewrites) {
   const FsckReport report = fsck_tree(vfs, &out, tele, opts);
 
   EXPECT_EQ(report.verdict, FsckVerdict::kSalvaged);
-  EXPECT_GT(report.valid_records, 0u);
-  EXPECT_LT(report.valid_records, 6u);
+  EXPECT_GT(report.count("fsck.samples.valid"), 0u);
+  EXPECT_LT(report.count("fsck.samples.valid"), 6u);
 
   // The rewritten tree is clean: a second fsck over it reports no damage
   // beyond the already-counted sequence gap.
   support::Telemetry tele2;
   const FsckReport again = fsck_tree(out, nullptr, tele2);
   EXPECT_FALSE(again.corrupt);
-  EXPECT_EQ(again.valid_records, report.valid_records);
+  EXPECT_EQ(again.count("fsck.samples.valid"), report.count("fsck.samples.valid"));
+}
+
+TEST(Fsck, MapWithUnreadableHeaderIsUnrecoverableInBothFormats) {
+  // The same damage — a destroyed header, entries intact — on a code map
+  // and on an object map: neither yields a usable entry, so both are total
+  // losses under the one rule.
+  CodeMapFile code;
+  code.epoch = 2;
+  code.entries = {{0x9000, 0x80, "App.m0"}};
+  memprof::ObjectMapFile objects;
+  objects.epoch = 2;
+  objects.objects = {{0x2000, 48, 11, 0}};
+  const std::pair<std::string, std::string> maps[] = {
+      {CodeMapFile::path_for("jit_maps", 101, 2), code.serialize()},
+      {memprof::ObjectMapFile::path_for("obj_maps", 101, 2), objects.serialize()}};
+  for (const auto& [path, bytes] : maps) {
+    os::Vfs vfs;
+    write_clean_log(vfs);
+    std::string damaged = bytes;
+    damaged.replace(0, 4, "####");
+    vfs.write(path, damaged);
+    support::Telemetry tele;
+    const FsckReport report =
+        fsck_tree(vfs, nullptr, tele, {},
+                  {sample_log_fsck_handler(), code_map_fsck_handler(),
+                   memprof::object_map_fsck_handler()});
+    EXPECT_EQ(report.verdict, FsckVerdict::kUnrecoverable) << path;
+    EXPECT_EQ(report.count("fsck.maps.unrecoverable") +
+                  report.count("fsck.omaps.unrecoverable"),
+              1u)
+        << path;
+  }
 }
 
 TEST(Fsck, DetailsAndSummaryMentionFindings) {

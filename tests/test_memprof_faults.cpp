@@ -128,12 +128,14 @@ TEST(MemprofFaults, TornMapWriteSalvagesWithExactAccounting) {
   EXPECT_EQ(stats.maps_written, clean.agent->stats().maps_written);
 
   support::Telemetry tele;
-  const ObjectFsckReport fsck =
-      fsck_object_maps(damaged.machine->vfs(), nullptr, tele);
+  const core::FsckReport fsck = core::fsck_tree(damaged.machine->vfs(), nullptr, tele,
+                                                {}, {object_map_fsck_handler()});
+  const std::uint64_t objects_salvaged = fsck.count("fsck.omaps.objects_salvaged");
+  const std::uint64_t objects_lost = fsck.count("fsck.omaps.objects_lost");
   EXPECT_TRUE(fsck.corrupt);
-  EXPECT_EQ(fsck.maps_truncated, 1u);
-  EXPECT_EQ(fsck.dead_maps, 0u);
-  EXPECT_GT(fsck.objects_lost, 0u);
+  EXPECT_EQ(fsck.count("fsck.omaps.truncated"), 1u);
+  EXPECT_EQ(fsck.count("fsck.omaps.unrecoverable"), 0u);
+  EXPECT_GT(objects_lost, 0u);
   // salvaged + lost == declared == acked: walk the tree and close the books
   // against the agent's own counters.
   std::uint64_t declared_intact = 0;
@@ -143,9 +145,9 @@ TEST(MemprofFaults, TornMapWriteSalvagesWithExactAccounting) {
     const auto parsed = ObjectMapFile::parse(*damaged.machine->vfs().read(path));
     if (parsed) declared_intact += parsed->objects.size();
   }
-  EXPECT_EQ(declared_intact + fsck.objects_salvaged + fsck.objects_lost,
+  EXPECT_EQ(declared_intact + objects_salvaged + objects_lost,
             stats.map_entries_written);
-  EXPECT_EQ(tele.counter("fsck.omaps.objects_lost").value(), fsck.objects_lost);
+  EXPECT_EQ(tele.counter("fsck.omaps.objects_lost").value(), objects_lost);
 
   // The twin runs logged identical sample streams (a torn map write costs
   // what a clean one does), so attribution is comparable record by record.
@@ -233,17 +235,23 @@ TEST(MemprofFaults, FsckRecoveryRewritesSalvagedPrefixThatStaysHonest) {
   for (const std::string& path : damaged.machine->vfs().list("obj_maps"))
     recovered.write(path, *damaged.machine->vfs().read(path));
   support::Telemetry tele;
-  const ObjectFsckReport first = fsck_object_maps(damaged.machine->vfs(),
-                                                  &recovered, tele, false);
+  core::FsckOptions opts;
+  opts.write_recovery = true;
+  opts.verbose = false;
+  const std::vector<core::FsckHandler> omaps = {object_map_fsck_handler()};
+  const core::FsckReport first =
+      core::fsck_tree(damaged.machine->vfs(), &recovered, tele, opts, omaps);
   EXPECT_TRUE(first.corrupt);
-  EXPECT_EQ(first.maps_truncated, 2u);
+  EXPECT_EQ(first.count("fsck.omaps.truncated"), 2u);
 
   // The rewritten tree is clean — but still *marked*: a second scan finds
   // nothing corrupt, yet resolution keeps refusing to walk past the
   // truncated epochs (honesty survives recovery).
-  const ObjectFsckReport second = fsck_object_maps(recovered, nullptr, tele, false);
+  opts.write_recovery = false;
+  const core::FsckReport second = core::fsck_tree(recovered, nullptr, tele, opts, omaps);
   EXPECT_FALSE(second.corrupt);
-  EXPECT_EQ(second.maps_intact, first.maps_intact + first.maps_truncated);
+  EXPECT_EQ(second.count("fsck.omaps.intact"),
+            first.count("fsck.omaps.intact") + first.count("fsck.omaps.truncated"));
 
   const hw::Pid pid = damaged.session->registrations().all().at(0).pid;
   const ObjectIndexLoad before = load_object_index(damaged.machine->vfs(), "obj_maps", pid);
