@@ -3,9 +3,9 @@
 #
 # 1. Configure + build the default (RelWithDebInfo) tree.
 # 2. Run the whole ctest suite — this includes the `faults`, `telemetry`,
-#    `resolve`, `service`, `store`, `fleet` and `memprof` labels — and then
-#    each of those labels once more by name, so a label that silently lost
-#    its tests fails the pipeline.
+#    `resolve`, `service`, `store`, `fleet`, `memprof` and `framing` labels
+#    — and then each of those labels once more by name, so a label that
+#    silently lost its tests fails the pipeline.
 # 3. Smoke-run the resolution, service, store, fleet and memprof benchmarks
 #    (VIPROF_QUICK) and check that they leave non-empty BENCH_resolve.json /
 #    BENCH_service.json / BENCH_store.json / BENCH_fleet.json /
@@ -43,6 +43,7 @@ run_label "$PREFIX" service
 run_label "$PREFIX" store
 run_label "$PREFIX" fleet
 run_label "$PREFIX" memprof
+run_label "$PREFIX" framing
 
 echo "=== [2/4] benchmark smoke (BENCH_resolve/service/store/fleet/memprof.json) ==="
 (cd "$PREFIX" &&
@@ -82,5 +83,6 @@ run_label "$SAN_DIR" service
 run_label "$SAN_DIR" store
 run_label "$SAN_DIR" fleet
 run_label "$SAN_DIR" memprof
+run_label "$SAN_DIR" framing
 
 echo "ci.sh: all green"

@@ -75,6 +75,23 @@ TEST(ObjectMapFile, ParseRejectsDamage) {
 // the declared counts exactly — that equality is what makes a torn object
 // map a counted loss rather than a silent one — and every salvaged entry
 // must byte-match the original prefix (no invented attribution).
+// A tear inside the header's last count ("dead 11" -> "dead 1") leaves an
+// unterminated header that still parses. It must not be read: a wrong
+// declared count would make salvaged + lost close on the wrong total.
+TEST(ObjectMapFile, TornHeaderNeverDeclaresWrongCounts) {
+  ObjectMapFile file = sample_map(6);
+  for (std::uint64_t i = 0; i < 12; ++i)
+    file.objects.push_back({0x6300'0000 + i * 64, 64, 20 + i, 1});
+  for (std::uint64_t i = 0; i < 9; ++i) file.dead.push_back({40 + i, 32, 2});
+  const std::string blob = file.serialize();
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    const ObjectMapFile::Recovery r = ObjectMapFile::salvage(blob.substr(0, cut), 6);
+    if (!r.header_ok) continue;
+    EXPECT_EQ(r.objects_expected, 16u) << "cut=" << cut;
+    EXPECT_EQ(r.dead_expected, 11u) << "cut=" << cut;
+  }
+}
+
 TEST(ObjectMapFile, SalvageSweepAccountsForEveryEntry) {
   const ObjectMapFile file = sample_map(6);
   const std::string blob = file.serialize();
