@@ -96,10 +96,6 @@ std::vector<LoggedSample> SampleLogReader::read(const os::Vfs& vfs,
   return read_checked(vfs, dir, event, status);
 }
 
-namespace {
-
-// "<pc> <caller> <mode> <pid> <epoch> <cycle>": the payload after the
-// frame's sequence number.
 bool parse_record(std::string_view line, LoggedSample& s) {
   std::uint64_t pc = 0, caller = 0, pid = 0, epoch = 0, cycle = 0;
   std::string_view mode;
@@ -119,8 +115,6 @@ bool parse_record(std::string_view line, LoggedSample& s) {
   s.cycle = cycle;
   return true;
 }
-
-}  // namespace
 
 template <typename Sink>
 void SampleStreamParser::parse_into(std::string_view text, Sink& out) {

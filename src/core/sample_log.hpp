@@ -36,6 +36,12 @@ struct LoggedSample {
   std::uint64_t cycle = 0;
 };
 
+/// The sample record grammar, "<pc> <caller> <mode> <pid> <epoch> <cycle>":
+/// the payload of a verified line frame after its sequence number. False
+/// when malformed. The log reader and the replay client's map announcement
+/// both read records through this one parser.
+bool parse_record(std::string_view payload, LoggedSample& out);
+
 /// Outcome of one flush() call over all per-event files.
 struct LogFlushResult {
   std::uint64_t write_errors = 0;     // appends rejected (batch retained)

@@ -44,27 +44,36 @@ bool valid_type(std::uint8_t t) {
 
 }  // namespace
 
+void encode_frame(std::string& out, FrameType type,
+                  std::initializer_list<std::string_view> payload_parts,
+                  const support::TraceContext& trace) {
+  const bool traced = trace.valid();
+  std::size_t length = 0;
+  for (const std::string_view part : payload_parts) length += part.size();
+  out.clear();
+  out.reserve(kFrameHeaderBytes + (traced ? kFrameTraceExtBytes : 0) + length +
+              kFrameTrailerBytes);
+  out.push_back(kMagic0);
+  out.push_back(kMagic1);
+  out.push_back(static_cast<char>(type));
+  out.push_back(traced ? static_cast<char>(kFrameFlagTraced) : 0);
+  append_u32le(out, static_cast<std::uint32_t>(length));
+  if (traced) {
+    append_u64le(out, trace.trace_id);
+    append_u64le(out, trace.parent_span);
+  }
+  for (const std::string_view part : payload_parts) out += part;
+  append_u32le(out, support::fnv1a(out.data(), out.size()));
+}
+
 std::string encode_frame(FrameType type, const std::string& payload) {
   return encode_frame(type, payload, support::TraceContext{});
 }
 
 std::string encode_frame(FrameType type, const std::string& payload,
                          const support::TraceContext& trace) {
-  const bool traced = trace.valid();
   std::string out;
-  out.reserve(kFrameHeaderBytes + (traced ? kFrameTraceExtBytes : 0) +
-              payload.size() + kFrameTrailerBytes);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(static_cast<char>(type));
-  out.push_back(traced ? static_cast<char>(kFrameFlagTraced) : 0);
-  append_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  if (traced) {
-    append_u64le(out, trace.trace_id);
-    append_u64le(out, trace.parent_span);
-  }
-  out += payload;
-  append_u32le(out, support::fnv1a(out.data(), out.size()));
+  encode_frame(out, type, {payload}, trace);
   return out;
 }
 
