@@ -158,6 +158,13 @@ bool apply_record(std::string_view rec, bool after_gap, Dictionary& dict,
       return true;
     }
     case 'R': {
+      // Lost lines before a row, with the pending interval already holding
+      // all its declared rows: they held the next interval's record. The
+      // complete interval is committed; the row opens an orphan below.
+      if (after_gap && pending.open && !pending.orphan && !pending.broken &&
+          pending.rows_seen == pending.declared_rows) {
+        finalize(pending, out);
+      }
       if (!pending.open) {
         // Interval record lost but its rows survived: orphans, counted.
         pending.open = true;

@@ -125,6 +125,34 @@ TEST(StoreSegment, CorruptLineDropsItsIntervalWithRowAccounting) {
   EXPECT_EQ(got.rows_salvaged, ivs[0].profile.row_count());
 }
 
+TEST(StoreSegment, TornIntervalRecordKeepsTheCompletePreviousInterval) {
+  // Two intervals of one row each, over the same symbol, so the second
+  // interval is just its I line and its R line.
+  SegmentWriter w(6);
+  std::vector<IntervalProfile> ivs;
+  for (std::uint64_t tick = 1; tick <= 2; ++tick) {
+    IntervalProfile iv;
+    iv.session = "vm";
+    iv.tick_lo = iv.tick_hi = tick;
+    iv.profile.add(kTime, res("RVM.map", "org.jikesrvm.compile"), tick);
+    ivs.push_back(std::move(iv));
+  }
+  std::string content = whole_segment(w, ivs);
+  const std::size_t iv2 = content.find(" I 2 ");  // second interval's I line
+  ASSERT_NE(iv2, std::string::npos);
+  content[iv2 + 3] = '3';
+
+  const SegmentSalvage got = read_segment(content);
+  EXPECT_FALSE(got.clean());
+  EXPECT_EQ(got.lines_discarded, 1u);
+  EXPECT_EQ(got.intervals_salvaged, 1u);  // the first interval was complete
+  EXPECT_EQ(got.rows_salvaged, 1u);
+  EXPECT_EQ(got.intervals_dropped, 1u);  // the second one's row, orphaned
+  EXPECT_EQ(got.rows_dropped, 1u);       // of 2 rows written
+  ASSERT_EQ(got.intervals.size(), 1u);
+  EXPECT_EQ(got.intervals[0].tick_lo, 1u);
+}
+
 TEST(StoreSegment, DuplicateAndMissingLinesAreCounted) {
   SegmentWriter w(5);
   const std::vector<IntervalProfile> ivs = {make_interval(1, 0)};
