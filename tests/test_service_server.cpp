@@ -195,6 +195,39 @@ TEST(ProfileServer, FramesBeforeOpenSessionAreRejected) {
   EXPECT_TRUE(server.session_ids().empty());
 }
 
+// The batch header is "batch <EVENT> <line_count>": fields after the count
+// are ignored, a missing count is refused, and an event name is quoted in
+// full however long it is.
+TEST(ProfileServer, BatchHeaderGrammar) {
+  ProfileServer server;
+  auto conn = server.connect("c");
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kOpenSession, "s")));
+  ASSERT_EQ(conn->next_reply()->payload, "ok session s");
+  const auto send_batch = [&conn](const std::string& header) {
+    EXPECT_TRUE(conn->send(encode_frame(FrameType::kSampleBatch, header + "\n")));
+  };
+
+  send_batch("batch GLOBAL_POWER_EVENTS 0 extra fields");
+  send_batch("batch time 0");
+  server.drain();
+  EXPECT_FALSE(conn->next_reply().has_value());
+  EXPECT_EQ(server.session("s")->stats().batches_enqueued, 2u);
+
+  send_batch("batch GLOBAL_POWER_EVENTS");
+  auto reply = conn->next_reply();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(reply->payload, "batch: bad header: batch GLOBAL_POWER_EVENTS");
+
+  const std::string long_name(70, 'X');
+  send_batch("batch " + long_name + " 3");
+  reply = conn->next_reply();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kError);
+  EXPECT_EQ(reply->payload, "batch: unknown event: " + long_name);
+  EXPECT_EQ(server.session("s")->stats().batches_enqueued, 2u);
+}
+
 // Each streamed map publishes a new index version for its (session, pid);
 // nothing caches versions beyond that. A version lives while the session
 // publishes it or a queued batch pins it — and no longer.
