@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -25,6 +26,17 @@ using namespace viprof;
 
 const std::vector<hw::EventKind> kEvents = {hw::EventKind::kGlobalPowerEvents,
                                             hw::EventKind::kBsqCacheReference};
+
+/// The ingest stage ledger in pipeline order: (label, telemetry counter).
+/// The worker stages, resolve and apply, are summed over ingest threads.
+const std::pair<const char*, const char*> kStages[] = {
+    {"encode", "client.encode_ns"},
+    {"decode", "service.stage_ns.decode"},
+    {"parse", "service.stage_ns.parse"},
+    {"enqueue_wait", "service.stage_ns.enqueue_wait"},
+    {"map_store", "service.stage_ns.map_store"},
+    {"resolve", "service.stage_ns.resolve"},
+    {"apply", "service.stage_ns.apply"}};
 
 double percentile(std::vector<double>& sorted_us, double p) {
   if (sorted_us.empty()) return 0.0;
@@ -73,6 +85,9 @@ bool run() {
           std::fprintf(stderr, "FAIL: replay client disconnected\n");
           return false;
         }
+        // The client's stage joins the server's ledger in the telemetry.
+        server.telemetry().counter("client.encode_ns").inc(client.encode_ns());
+        server.telemetry().counter("client.bytes_sent").inc(client.bytes_sent());
       }
       server.drain();
       const std::chrono::duration<double> elapsed =
@@ -92,6 +107,12 @@ bool run() {
     const double rate = static_cast<double>(total_records) / best_secs;
     std::printf("  ingest threads=%zu  %9.0f records/sec  (%.3fs, speedup %.2fx)\n",
                 threads, rate, best_secs, baseline_secs / best_secs);
+    std::printf("    ns/record:");
+    for (const auto& [label, counter] : kStages)
+      std::printf(" %s %.0f", label,
+                  static_cast<double>(telemetry.counter(counter)) /
+                      static_cast<double>(total_records));
+    std::printf("\n");
     bench::BenchRecord record;
     record.name = "ingest.t" + std::to_string(threads);
     record.iterations = reps;

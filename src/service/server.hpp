@@ -179,8 +179,28 @@ class ProfileServer {
   std::unique_ptr<support::Arena> rent_arena();
   void recycle_arena(std::unique_ptr<support::Arena> arena);
 
+  /// The ingest stage ledger (DESIGN.md §10): ns spent in each stage,
+  /// summed over sessions and threads. The counters are looked up once
+  /// here, not per batch; divided by service.records they give ns/record.
+  struct StageLedger {
+    explicit StageLedger(support::Telemetry& t)
+        : decode(t.counter("service.stage_ns.decode")),
+          parse(t.counter("service.stage_ns.parse")),
+          enqueue_wait(t.counter("service.stage_ns.enqueue_wait")),
+          map_store(t.counter("service.stage_ns.map_store")),
+          resolve(t.counter("service.stage_ns.resolve")),
+          apply(t.counter("service.stage_ns.apply")) {}
+    support::Counter& decode;        // frame verify (connection thread)
+    support::Counter& parse;         // batch text parse + version pin
+    support::Counter& enqueue_wait;  // queue push, blocked while it is full
+    support::Counter& map_store;     // file frames: map parse + publish
+    support::Counter& resolve;       // worker: resolve + per-batch fold
+    support::Counter& apply;         // worker: fold into the stripe
+  };
+
   ServerConfig config_;
   support::Telemetry telemetry_;
+  StageLedger stages_{telemetry_};
   std::mutex arena_mu_;
   std::vector<std::unique_ptr<support::Arena>> arena_pool_;
   // Reader-heavy (every query and flush walks the session table) and a
