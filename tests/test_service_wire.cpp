@@ -57,6 +57,17 @@ TEST(Wire, EmptyPayloadAndBinaryPayload) {
   EXPECT_EQ(frames[1].payload, binary);
 }
 
+TEST(Wire, PayloadPartsEncodeAsTheirConcatenation) {
+  const support::TraceContext trace{0x1234, 7};
+  std::string out = "stale bytes of an earlier, longer frame";
+  for (const support::TraceContext& t : {support::TraceContext{}, trace}) {
+    encode_frame(out, FrameType::kSampleBatch, {"batch time 2\n", "a\nb", "\n"}, t);
+    EXPECT_EQ(out, encode_frame(FrameType::kSampleBatch, "batch time 2\na\nb\n", t));
+    encode_frame(out, FrameType::kEndStream, {}, t);
+    EXPECT_EQ(out, encode_frame(FrameType::kEndStream, "", t));
+  }
+}
+
 TEST(Wire, CorruptCrcSkipsFrameAndResyncs) {
   std::string damaged = encode_frame(FrameType::kHello, "aaaa");
   damaged[damaged.size() - 1] ^= 0x40;  // flip a crc bit
