@@ -160,7 +160,10 @@ bool ReplayClient::stream_session() {
       VmInfo vm;
       ls >> tag >> vm.pid >> lo >> hi >> boot >> boot_size >> map_path >> jit_dir;
       if (ls.fail()) continue;
-      if (map_path != "-") boot_maps.push_back(map_path);
+      // VMs sharing one boot image reference the same map: send it once.
+      if (map_path != "-" &&
+          std::find(boot_maps.begin(), boot_maps.end(), map_path) == boot_maps.end())
+        boot_maps.push_back(map_path);
       if (jit_dir != "-") {
         vm.jit_map_dir = jit_dir;
         const std::string prefix = jit_dir + "/" + std::to_string(vm.pid) + "/";
