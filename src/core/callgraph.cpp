@@ -1,7 +1,5 @@
 #include "core/callgraph.hpp"
 
-#include <algorithm>
-
 #include "support/format.hpp"
 
 namespace viprof::core {
@@ -36,15 +34,6 @@ void CallGraph::add(const LoggedSample& sample) {
 }
 
 void CallGraph::add_resolved(const Resolution& caller, const Resolution& callee) {
-  add_resolved(caller, callee, 1);
-}
-
-void CallGraph::add_resolved(const Resolution& caller, const Resolution& callee,
-                             std::uint64_t count) {
-  bump_arc(arc_index(caller, callee), count);
-}
-
-std::size_t CallGraph::arc_index(const Resolution& caller, const Resolution& callee) {
   CallArc like;
   like.caller_image = caller.image;
   like.caller_symbol = caller.symbol;
@@ -52,12 +41,8 @@ std::size_t CallGraph::arc_index(const Resolution& caller, const Resolution& cal
   like.callee_symbol = callee.symbol;
   like.caller_domain = caller.domain;
   like.callee_domain = callee.domain;
-  return arc_slot(like);
-}
-
-void CallGraph::add_arc(const CallArc& arc) {
-  arcs_[arc_slot(arc)].count += arc.count;
-  samples_ += arc.count;
+  ++arc_for(like).count;
+  ++samples_;
 }
 
 void CallGraph::merge(const CallGraph& other) {
@@ -67,11 +52,9 @@ void CallGraph::merge(const CallGraph& other) {
   }
 }
 
-std::vector<CallArc> CallGraph::ranked() const {
-  std::vector<CallArc> out = arcs_;
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CallArc& a, const CallArc& b) { return a.count > b.count; });
-  return out;
+RankedView<CallArc> CallGraph::ranked() const {
+  return RankedView<CallArc>(arcs_, rank_indices(arcs_.size(), arcs_.size(),
+                                                 [&](std::uint32_t i) { return arcs_[i].count; }));
 }
 
 std::vector<CallArc> CallGraph::cross_layer_arcs() const {
@@ -81,17 +64,21 @@ std::vector<CallArc> CallGraph::cross_layer_arcs() const {
   return out;
 }
 
-std::string CallGraph::render(std::size_t top_n) const {
+std::string render_arcs(const std::vector<CallArc>& arcs) {
   support::TextTable table({"Samples", "Caller", "->", "Callee"});
-  std::size_t emitted = 0;
-  for (const CallArc& arc : ranked()) {
-    if (emitted >= top_n) break;
-    table.add_row({std::to_string(arc.count),
-                   arc.caller_image + ":" + arc.caller_symbol, "->",
-                   arc.callee_image + ":" + arc.callee_symbol});
-    ++emitted;
-  }
+  for (const CallArc& arc : arcs)
+    table.add_row({std::to_string(arc.count), arc.caller_image + ":" + arc.caller_symbol,
+                   "->", arc.callee_image + ":" + arc.callee_symbol});
   return table.render();
+}
+
+std::string CallGraph::render(std::size_t top_n) const {
+  std::vector<CallArc> top;
+  for (const std::uint32_t i : rank_indices(arcs_.size(), top_n, [&](std::uint32_t a) {
+         return arcs_[a].count;
+       }))
+    top.push_back(arcs_[i]);
+  return render_arcs(top);
 }
 
 }  // namespace viprof::core

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/report.hpp"
 #include "core/resolver.hpp"
 #include "core/sample_log.hpp"
 #include "hw/event.hpp"
@@ -34,9 +35,8 @@ struct CallArc {
 
 class CallGraph {
  public:
-  /// A graph fed through add_resolved() only — the profile service resolves
-  /// both endpoints itself (its resolver choice varies per batch) and hands
-  /// this graph finished Resolutions.
+  /// A graph fed through add_resolved() only, with both endpoints already
+  /// resolved by the caller.
   CallGraph() = default;
 
   explicit CallGraph(const Resolver& resolver) : resolver_(&resolver) {}
@@ -49,32 +49,16 @@ class CallGraph {
 
   /// Accounts one already-resolved (caller → callee) pair; works on
   /// resolver-less graphs. Callers skip samples without a caller PC to
-  /// match add()'s accounting. The counted overload folds `count` repeats
-  /// of the same pair in one arc lookup.
+  /// match add()'s accounting.
   void add_resolved(const Resolution& caller, const Resolution& callee);
-  void add_resolved(const Resolution& caller, const Resolution& callee,
-                    std::uint64_t count);
-
-  /// Folds one finished arc — `arc.count` samples in a single lookup. Used
-  /// by the striped aggregator's order recovery (SeqCallGraph::ordered).
-  void add_arc(const CallArc& arc);
-
-  /// Interning API mirroring Profile::row_index/bump: intern the arc slot
-  /// once, then bump repeats without rebuilding the 4-part key string.
-  /// arc_index() + bump_arc() == add_resolved().
-  std::size_t arc_index(const Resolution& caller, const Resolution& callee);
-  void bump_arc(std::size_t arc, std::uint64_t count = 1) {
-    arcs_[arc].count += count;
-    samples_ += count;
-  }
 
   /// Adds every arc (and the sample count) of `other` into this graph.
   /// Shard-order merging reproduces the serial arc order, as with
   /// Profile::merge.
   void merge(const CallGraph& other);
 
-  /// Arcs sorted by count (descending).
-  std::vector<CallArc> ranked() const;
+  /// Arcs ranked by count (descending, ties in insertion order).
+  RankedView<CallArc> ranked() const;
 
   /// Only arcs whose endpoints are in different domains.
   std::vector<CallArc> cross_layer_arcs() const;
@@ -95,5 +79,9 @@ class CallGraph {
   std::unordered_map<std::string, std::size_t> index_;
   std::uint64_t samples_ = 0;
 };
+
+/// The table CallGraph::render prints, over `arcs` as given (already
+/// ranked and cut).
+std::string render_arcs(const std::vector<CallArc>& arcs);
 
 }  // namespace viprof::core

@@ -45,29 +45,29 @@ void Profile::add(hw::EventKind event, const Resolution& res, std::uint64_t coun
   row_for(res.image, res.symbol, res.domain).counts[hw::event_index(event)] += count;
 }
 
-void Profile::merge(const Profile& other) {
-  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) totals_[i] += other.totals_[i];
-  for (const ProfileRow& src : other.rows_) {
-    ProfileRow& dst = row_for(src.image, src.symbol, src.domain);
-    for (std::size_t i = 0; i < hw::kEventKindCount; ++i) {
-      dst.counts[i] += src.counts[i];
-    }
+void Profile::add_row(const std::string& image, const std::string& symbol,
+                      SampleDomain domain,
+                      const std::uint64_t (&counts)[hw::kEventKindCount]) {
+  ProfileRow& dst = row_for(image, symbol, domain);
+  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) {
+    totals_[i] += counts[i];
+    dst.counts[i] += counts[i];
   }
 }
 
-double Profile::percent(const ProfileRow& row, hw::EventKind event) const {
-  const std::uint64_t total = totals_[hw::event_index(event)];
-  if (total == 0) return 0.0;
-  return 100.0 * static_cast<double>(row.count(event)) / static_cast<double>(total);
+void Profile::merge(const Profile& other) {
+  // Totals are the sums of the row counts, so adding the rows adds them.
+  for (const ProfileRow& src : other.rows_) add_row(src.image, src.symbol, src.domain, src.counts);
 }
 
-std::vector<ProfileRow> Profile::ranked(hw::EventKind primary) const {
-  std::vector<ProfileRow> out = rows_;
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const ProfileRow& a, const ProfileRow& b) {
-                     return a.count(primary) > b.count(primary);
-                   });
-  return out;
+double Profile::percent(const ProfileRow& row, hw::EventKind event) const {
+  return percent_of(row.count(event), totals_[hw::event_index(event)]);
+}
+
+RankedView<ProfileRow> Profile::ranked(hw::EventKind primary) const {
+  return RankedView<ProfileRow>(
+      rows_, rank_indices(rows_.size(), rows_.size(),
+                          [&](std::uint32_t i) { return rows_[i].count(primary); }));
 }
 
 std::uint64_t Profile::domain_total(SampleDomain domain, hw::EventKind event) const {
@@ -88,26 +88,35 @@ const ProfileRow* Profile::find(const std::string& image,
   return it == index_.end() ? nullptr : &rows_[it->second];
 }
 
-std::string Profile::render(const std::vector<hw::EventKind>& events,
-                            std::size_t top_n) const {
+std::string render_rows(const std::vector<hw::EventKind>& events,
+                        const std::uint64_t (&totals)[hw::kEventKindCount],
+                        const std::vector<ProfileRow>& rows) {
   std::vector<std::string> headers;
   for (hw::EventKind e : events) headers.push_back(event_column_title(e));
   headers.push_back("Image name");
   headers.push_back("Symbol name");
   support::TextTable table(std::move(headers));
-
-  const auto rows = ranked(events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0]);
-  std::size_t emitted = 0;
   for (const ProfileRow& row : rows) {
-    if (emitted >= top_n) break;
     std::vector<std::string> cells;
-    for (hw::EventKind e : events) cells.push_back(support::fixed(percent(row, e), 4));
+    for (hw::EventKind e : events)
+      cells.push_back(support::fixed(percent_of(row.count(e), totals[hw::event_index(e)]), 4));
     cells.push_back(row.image);
     cells.push_back(row.symbol);
     table.add_row(std::move(cells));
-    ++emitted;
   }
   return table.render();
+}
+
+std::string Profile::render(const std::vector<hw::EventKind>& events,
+                            std::size_t top_n) const {
+  const hw::EventKind primary =
+      events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0];
+  std::vector<ProfileRow> top;
+  for (const std::uint32_t i : rank_indices(rows_.size(), top_n, [&](std::uint32_t r) {
+         return rows_[r].count(primary);
+       }))
+    top.push_back(rows_[i]);
+  return render_rows(events, totals_, top);
 }
 
 std::string render_diff(const Profile& before, const Profile& after,

@@ -9,7 +9,9 @@
 //   ...
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,13 +33,79 @@ struct ProfileRow {
 /// Column header the paper uses for each event.
 const char* event_column_title(hw::EventKind event);
 
+/// Indices [0, n) ranked by `count(i)` descending, ties in index order (as
+/// a stable sort by count leaves them), cut to the first `top_n`: no row is
+/// copied, and a cut rank orders only the rows it keeps.
+template <typename CountFn>
+std::vector<std::uint32_t> rank_indices(std::size_t n, std::size_t top_n, CountFn count) {
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  const auto before = [&count](std::uint32_t a, std::uint32_t b) {
+    const std::uint64_t ca = count(a), cb = count(b);
+    return ca != cb ? ca > cb : a < b;
+  };
+  if (top_n < n) {
+    std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(top_n),
+                      order.end(), before);
+    order.resize(top_n);
+  } else {
+    std::sort(order.begin(), order.end(), before);
+  }
+  return order;
+}
+
+/// Rows of a vector in ranked order, held as indices (ranked() returns this
+/// instead of a sorted copy). Valid while the vector lives unchanged.
+template <typename Row>
+class RankedView {
+ public:
+  RankedView(const std::vector<Row>& rows, std::vector<std::uint32_t> order)
+      : rows_(&rows), order_(std::move(order)) {}
+
+  struct iterator {
+    const std::vector<Row>* rows;
+    const std::uint32_t* at;
+    const Row& operator*() const { return (*rows)[*at]; }
+    iterator& operator++() {
+      ++at;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return at == o.at; }
+  };
+
+  std::size_t size() const { return order_.size(); }
+  const Row& operator[](std::size_t i) const { return (*rows_)[order_[i]]; }
+  iterator begin() const { return {rows_, order_.data()}; }
+  iterator end() const { return {rows_, order_.data() + order_.size()}; }
+
+ private:
+  const std::vector<Row>* rows_;
+  std::vector<std::uint32_t> order_;
+};
+
+/// Percentage of `total` that `count` is (0 when the total is 0).
+inline double percent_of(std::uint64_t count, std::uint64_t total) {
+  return total == 0 ? 0.0 : 100.0 * static_cast<double>(count) / static_cast<double>(total);
+}
+
+/// The Fig. 1 table (see Profile::render) over `rows`, already ranked and
+/// cut, with percentages against `totals`.
+std::string render_rows(const std::vector<hw::EventKind>& events,
+                        const std::uint64_t (&totals)[hw::kEventKindCount],
+                        const std::vector<ProfileRow>& rows);
+
 /// Aggregation is hash-based: rows are interned in an unordered_map keyed
 /// on (image, symbol), so add() is O(1) amortised instead of a linear row
-/// scan, while rows_ preserves first-insertion order — ranked() and
-/// render() output is unchanged.
+/// scan, while rows_ preserves first-insertion order — the tie order of
+/// ranked() and render().
 class Profile {
  public:
   void add(hw::EventKind event, const Resolution& res, std::uint64_t count = 1);
+
+  /// Adds one finished row with every count at once, as add() per event
+  /// would: the path by which id-keyed aggregates materialise.
+  void add_row(const std::string& image, const std::string& symbol, SampleDomain domain,
+               const std::uint64_t (&counts)[hw::kEventKindCount]);
 
   /// Adds every row and total of `other` into this profile. Merging
   /// per-shard profiles in shard order reproduces the serial profile
@@ -51,8 +119,8 @@ class Profile {
 
   double percent(const ProfileRow& row, hw::EventKind event) const;
 
-  /// Rows sorted by the count of `primary` (descending).
-  std::vector<ProfileRow> ranked(hw::EventKind primary) const;
+  /// Rows ranked by the count of `primary` (descending, ties in row order).
+  RankedView<ProfileRow> ranked(hw::EventKind primary) const;
 
   /// Sum of counts of `event` over rows in `domain`.
   std::uint64_t domain_total(SampleDomain domain, hw::EventKind event) const;

@@ -2,10 +2,37 @@
 
 #include <algorithm>
 #include <thread>
-
-#include "core/striped_agg.hpp"
+#include <unordered_map>
 
 namespace viprof::core {
+
+namespace {
+
+/// Per-shard memo from a resolution's stable identity — (domain, pid,
+/// sample epoch, symbol_base) — to its interned row index in one target
+/// Profile: repeated symbols bump a cached row instead of rebuilding the
+/// profile key per sample. Only resolutions with symbol_size != 0 are
+/// memoised: the unresolved degradation bins all report base 0, so they
+/// always take the exact add() path. A memo is valid for one Profile.
+class RowMemo {
+ public:
+  void add(Profile& out, hw::EventKind event, hw::Pid pid, std::uint64_t epoch,
+           const Resolution& res) {
+    if (res.symbol_size == 0) {
+      out.add(event, res);
+      return;
+    }
+    const auto [it, inserted] = map_.try_emplace(
+        MemoKey(res.symbol_base, epoch, pid, res.domain), std::size_t{0});
+    if (inserted) it->second = out.row_index(res);
+    out.bump(it->second, event);
+  }
+
+ private:
+  std::unordered_map<MemoKey, std::size_t, MemoKey::Hash> map_;
+};
+
+}  // namespace
 
 ResolvePipeline::ResolvePipeline(PipelineConfig config) : config_(config) {
   threads_ = config_.threads != 0

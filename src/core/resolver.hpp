@@ -24,6 +24,7 @@
 #include "core/registration.hpp"
 #include "core/sample_log.hpp"
 #include "os/machine.hpp"
+#include "support/hash.hpp"
 #include "support/telemetry.hpp"
 
 namespace viprof::core {
@@ -71,6 +72,25 @@ struct Resolution {
   // method body.
   hw::Address symbol_base = 0;
   std::uint64_t symbol_size = 0;
+};
+
+/// The key the per-batch and per-shard memos intern resolutions on: the
+/// same (value, sample epoch, tag) always names the same (image, symbol).
+/// `value` is the symbol_base (or another exact identity) and `tag` packs
+/// pid, domain and a memo-chosen kind.
+struct MemoKey {
+  std::uint64_t value = 0, epoch = 0, tag = 0;
+
+  MemoKey(std::uint64_t v, std::uint64_t e, hw::Pid pid, SampleDomain domain, unsigned kind = 0)
+      : value(v), epoch(e),
+        tag(std::uint64_t{pid} << 16 | static_cast<std::uint64_t>(domain) << 8 | kind) {}
+  bool operator==(const MemoKey&) const = default;
+
+  struct Hash {
+    std::size_t operator()(const MemoKey& k) const {
+      return support::fmix64(k.value ^ support::fmix64(k.epoch ^ support::fmix64(k.tag)));
+    }
+  };
 };
 
 /// Resolution outcome tallies. The parallel pipeline gives each shard its

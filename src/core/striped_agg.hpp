@@ -1,138 +1,199 @@
-// Order-recovering accumulators for striped aggregation (DESIGN.md §14).
+// Id-keyed, order-recovering accumulators for striped aggregation
+// (DESIGN.md §14).
 //
-// Profile::merge reproduces the serial row order only when partials are
-// merged in contiguous shard order — a row's first-occurrence shard must
-// be visited first. Striped ingest breaks that precondition on purpose:
-// batches land on stripes by sequence number and apply in whatever order
-// workers finish, so no stripe holds a contiguous run. SeqProfile and
-// SeqCallGraph make the apply order irrelevant instead: every row/arc
-// remembers the (batch sequence, within-batch insertion index) of its
-// first occurrence, minimised across folds, and ordered() rebuilds the
-// exact serial first-occurrence insertion order by sorting on that pair.
-// Any batch→stripe assignment, any stripe count and any apply interleaving
-// therefore render byte-identically to the serial aggregate — the
-// online/offline identity anchor survives without a reorder buffer.
-//
-// RowMemo is the batched-interning half of the same hot path: within one
-// batch (or resolve shard), repeated symbols are bumped through a cached
-// row index keyed on the resolution's stable identity, skipping
-// Profile::add's per-sample key-string build; the shared table is touched
-// once per distinct row per batch, not once per sample.
+// Batches land on stripes by sequence number and apply in whatever order
+// workers finish, so no stripe holds a contiguous run and Profile::merge's
+// shard-order rule cannot recover the serial row order. Instead every row
+// and arc carries its first occurrence — (batch sequence, position of its
+// first sample in the batch) — minimised across folds; sorting on it
+// rebuilds the serial first-occurrence order at any stripe count and any
+// apply interleaving. Rows are keyed on SymbolIds: a worker maps samples
+// to ids through a per-batch memo (BatchFolder), a fold is integer adds
+// plus the min rule, and strings come back only for the rows a query
+// returns (IdProfile, ranked_arcs).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/callgraph.hpp"
 #include "core/report.hpp"
 #include "core/resolver.hpp"
-#include "core/sample_log.hpp"
+#include "core/symbol_dict.hpp"
 #include "hw/event.hpp"
+#include "hw/types.hpp"
 
 namespace viprof::core {
 
-/// A Profile accumulator whose rows carry first-occurrence (seq, idx)
-/// provenance. fold(seq, partial) folds one batch partial produced under
-/// sequence number `seq`; fold(other) combines two accumulators (cross-
-/// stripe merge at query time). ordered() renders back to a Profile in
-/// recovered serial order.
-class SeqProfile {
- public:
-  void fold(std::uint64_t seq, const Profile& partial);
-  void fold(const SeqProfile& other);
+/// Where a row or arc first occurred: (the batch's apply sequence, the
+/// position of its first sample within the batch), compared in that order.
+using FirstSeen = std::pair<std::uint64_t, std::uint32_t>;
 
-  /// The serial-order Profile: rows sorted by (seq, idx) and re-added, so
-  /// row order, totals and domains match the sequential aggregate byte for
-  /// byte.
-  Profile ordered() const;
+/// One profile row in id space.
+struct SymbolRow {
+  SymbolId id = 0;
+  SampleDomain domain = SampleDomain::kUnknown;
+  FirstSeen seen;
+  std::uint64_t counts[hw::kEventKindCount] = {};
 
-  bool empty() const { return rows_.empty(); }
-  std::size_t row_count() const { return rows_.size(); }
-
- private:
-  struct SeqRow {
-    ProfileRow row;
-    std::uint64_t seq = 0;  // batch sequence of the first occurrence
-    std::uint32_t idx = 0;  // insertion index within that batch
-  };
-
-  void fold_row(const ProfileRow& src, std::uint64_t seq, std::uint32_t idx);
-
-  std::vector<SeqRow> rows_;
-  /// "image\0symbol" -> index into rows_ (same key scheme as Profile).
-  std::unordered_map<std::string, std::size_t> index_;
-};
-
-/// CallGraph counterpart: arcs carry (seq, idx) provenance; ordered()
-/// rebuilds serial arc insertion order (and total_samples) exactly.
-class SeqCallGraph {
- public:
-  void fold(std::uint64_t seq, const CallGraph& partial);
-  void fold(const SeqCallGraph& other);
-
-  CallGraph ordered() const;
-
-  bool empty() const { return arcs_.empty(); }
-
- private:
-  struct SeqArc {
-    CallArc arc;
-    std::uint64_t seq = 0;
-    std::uint32_t idx = 0;
-  };
-
-  void fold_arc(const CallArc& src, std::uint64_t seq, std::uint32_t idx);
-
-  std::vector<SeqArc> arcs_;
-  std::unordered_map<std::string, std::size_t> index_;
-};
-
-/// Per-batch (or per-shard) memo from a resolution's stable identity —
-/// (domain, pid, sample epoch, symbol_base) — to its interned row index in
-/// one target Profile. Only resolutions with symbol_size != 0 are
-/// memoised: the unresolved degradation bins all report base 0, so they
-/// always take the exact add() path. A memo is valid for exactly one
-/// Profile and one batch; start a fresh one per batch.
-class RowMemo {
- public:
-  void add(Profile& out, hw::EventKind event, hw::Pid pid, std::uint64_t epoch,
-           const Resolution& res, std::uint64_t count = 1) {
-    if (res.symbol_size == 0) {
-      out.add(event, res, count);
-      return;
+  std::uint64_t key() const { return id; }
+  /// Another occurrence of the same id: counts add; the serially earlier
+  /// one keeps its position and its domain (the first add wins serially).
+  void absorb(const SymbolRow& o) {
+    for (std::size_t e = 0; e < hw::kEventKindCount; ++e) counts[e] += o.counts[e];
+    if (o.seen < seen) {
+      seen = o.seen;
+      domain = o.domain;
     }
-    const Key key{res.symbol_base, epoch, pid, static_cast<std::uint8_t>(res.domain)};
-    const auto [it, inserted] = map_.try_emplace(key, 0);
-    if (inserted) it->second = out.row_index(res);
-    out.bump(it->second, event, count);
+  }
+};
+
+/// One call arc in id space.
+struct ArcRow {
+  SymbolId caller = 0;
+  SymbolId callee = 0;
+  SampleDomain caller_domain = SampleDomain::kUnknown;
+  SampleDomain callee_domain = SampleDomain::kUnknown;
+  FirstSeen seen;
+  std::uint64_t count = 0;
+
+  std::uint64_t key() const { return std::uint64_t{caller} << 32 | callee; }
+  void absorb(const ArcRow& o) {
+    count += o.count;
+    if (o.seen < seen) {
+      seen = o.seen;
+      caller_domain = o.caller_domain;
+      callee_domain = o.callee_domain;
+    }
+  }
+};
+
+/// Rows folded by key(), in any order; each keeps its earliest occurrence.
+template <typename Row>
+class SeqFold {
+ public:
+  void fold(const Row& row) {
+    const auto [it, inserted] =
+        index_.try_emplace(row.key(), static_cast<std::uint32_t>(rows_.size()));
+    if (inserted)
+      rows_.push_back(row);
+    else
+      rows_[it->second].absorb(row);
   }
 
-  void clear() { map_.clear(); }
+  const std::vector<Row>& rows() const { return rows_; }
 
  private:
-  struct Key {
-    hw::Address base = 0;
-    std::uint64_t epoch = 0;
-    hw::Pid pid = 0;
-    std::uint8_t domain = 0;
-
-    bool operator==(const Key& o) const {
-      return base == o.base && epoch == o.epoch && pid == o.pid && domain == o.domain;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.base * 0x9e3779b97f4a7c15ull;
-      h ^= (k.epoch + 0x7f4a7c15u) * 0xc2b2ae3d27d4eb4full;
-      h ^= (static_cast<std::uint64_t>(k.pid) << 8 | k.domain) * 0x165667b19e3779f9ull;
-      h ^= h >> 29;
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  std::unordered_map<Key, std::size_t, KeyHash> map_;
+  std::vector<Row> rows_;
+  std::unordered_map<std::uint64_t, std::uint32_t> index_;  // key() -> rows_
 };
+
+using SeqProfile = SeqFold<SymbolRow>;
+using SeqCallGraph = SeqFold<ArcRow>;
+
+/// One batch in id space. The event, pending and epoch folds all read
+/// `rows`: an event row's first occurrence is the minimum over its epochs.
+struct BatchPartial {
+  struct Row {
+    std::uint64_t epoch = 0;
+    SymbolRow row;
+  };
+  std::vector<Row> rows;  // one per distinct memo key, in first-position order
+  std::vector<ArcRow> arcs;
+};
+
+/// Builds one batch's partial. Within the batch each distinct name gets a
+/// local slot: a memo on (domain, pid, sample epoch, symbol_base) maps each
+/// sample to its row, the unresolved bins (which all report base 0) key on
+/// their name instead, and a caller is resolved once per distinct (caller
+/// pc, pid, epoch). take() interns the batch's names in one dictionary call
+/// and rewrites the slots to ids, so workers meet on the dictionary's lock
+/// once per batch.
+class BatchFolder {
+ public:
+  BatchFolder(hw::EventKind event, std::uint64_t seq)
+      : event_(hw::event_index(event)), seq_(seq) {}
+
+  /// Accounts sample `pos` of the batch, resolved to `res`. Returns its slot.
+  std::uint32_t add(std::uint32_t pos, hw::Pid pid, std::uint64_t epoch, const Resolution& res);
+
+  /// Accounts the arc of sample `pos` from its caller at `caller_pc` to the
+  /// `callee` slot; `resolve_caller()` returns the caller's Resolution.
+  template <typename ResolveCaller>
+  void add_arc(std::uint32_t pos, hw::Address caller_pc, hw::Pid pid, std::uint64_t epoch,
+               std::uint32_t callee, SampleDomain callee_domain,
+               ResolveCaller&& resolve_caller) {
+    const auto [it, inserted] =
+        memo_.try_emplace(MemoKey(caller_pc, epoch, pid, SampleDomain::kUnknown, kCaller));
+    if (inserted) {
+      const Resolution caller = resolve_caller();
+      it->second = Memo{slot_of(caller), caller.domain, 0};
+    }
+    add_arc_row(pos, it->second.slot, it->second.domain, callee, callee_domain);
+  }
+
+  /// The partial, its slots interned in `dict`. Ends the folder.
+  BatchPartial take(SymbolDict& dict);
+
+ private:
+  enum Kind : unsigned { kSymbol, kName, kCaller };  // what a MemoKey's value is
+  struct Memo {
+    std::uint32_t slot = 0;
+    SampleDomain domain = SampleDomain::kUnknown;  // callers only
+    std::uint32_t row = 0;                         // samples: index into partial_.rows
+  };
+
+  std::uint32_t slot_of(const Resolution& res);
+  void add_arc_row(std::uint32_t pos, std::uint32_t caller, SampleDomain caller_domain,
+                   std::uint32_t callee, SampleDomain callee_domain);
+
+  const std::size_t event_;
+  const std::uint64_t seq_;
+  std::unordered_map<MemoKey, Memo, MemoKey::Hash> memo_;
+  std::deque<SymbolDict::Name> names_;  // by slot; a deque never moves them
+  std::unordered_map<SymbolDict::NameView, std::uint32_t, SymbolDict::NameView::Hash>
+      slots_;  // views into names_
+  std::unordered_map<std::uint64_t, std::uint32_t> arc_rows_;  // ArcRow::key() -> arcs
+  BatchPartial partial_;  // ids are slots until take()
+};
+
+/// A profile in id space: rows in recovered serial order, with totals.
+struct IdProfile {
+  std::vector<SymbolRow> rows;
+  std::uint64_t totals[hw::kEventKindCount] = {};
+
+  /// Every row, as the string-keyed Profile of the same samples.
+  Profile materialise(const SymbolDict& dict) const;
+
+  /// Profile::render of materialise(), materialising only the printed rows.
+  std::string render(const SymbolDict& dict, const std::vector<hw::EventKind>& events,
+                     std::size_t top_n) const;
+};
+
+/// Merges groups of folds into one IdProfile as Profile::merge over each
+/// group's serial-order profile would. A group (one event or one epoch of
+/// every stripe) is folded by the min rule and sorted by first occurrence;
+/// across groups an id keeps the position and domain of its first group.
+class IdProfileMerge {
+ public:
+  void add_group(const std::vector<const SeqProfile*>& parts);
+  IdProfile take() { return std::move(out_); }
+
+ private:
+  IdProfile out_;
+  std::vector<std::uint32_t> out_at_;    // id -> out_.rows index + 1, 0 = absent
+  std::vector<SymbolRow> group_;         // the group being merged
+  std::vector<std::uint32_t> group_at_;  // id -> group_ index + 1, 0 = absent
+};
+
+/// The arcs of `parts` folded together and ranked as CallGraph::ranked()
+/// ranks the serial graph (count descending, ties in first-occurrence
+/// order); only the first `top_n` are materialised.
+std::vector<CallArc> ranked_arcs(const std::vector<const SeqCallGraph*>& parts,
+                                 const SymbolDict& dict, std::size_t top_n);
 
 }  // namespace viprof::core

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <sstream>
-#include <tuple>
 
 #include "core/code_map.hpp"
 #include "memprof/object_map.hpp"
@@ -103,7 +103,7 @@ void ServerConnection::deliver(const char* data, std::size_t size) {
     server_->dispatch(*this, frame);
     t0 = support::monotonic_ns();
   }
-  server_->stages_.decode.inc(decode_ns);
+  server_->ingest_.decode.inc(decode_ns);
   const std::uint64_t torn = decoder_.torn_frames();
   if (torn > reported_torn_) {
     const std::uint64_t delta = torn - reported_torn_;
@@ -181,7 +181,7 @@ void ProfileServer::reply(ServerConnection& conn, FrameType type, std::string te
 }
 
 void ProfileServer::dispatch(ServerConnection& conn, const FrameView& frame) {
-  telemetry_.counter("service.frames").inc();
+  ingest_.frames.inc();
   switch (frame.type) {
     case FrameType::kHello:
       reply(conn, FrameType::kReply, "hello " + std::string(frame.payload));
@@ -237,7 +237,7 @@ void ProfileServer::dispatch(ServerConnection& conn, const FrameView& frame) {
       const std::uint64_t t0 = support::monotonic_ns();
       conn.session_->store_file(std::string(frame.payload.substr(0, nl)),
                                 std::string(frame.payload.substr(nl + 1)));
-      stages_.map_store.inc(support::monotonic_ns() - t0);
+      ingest_.map_store.inc(support::monotonic_ns() - t0);
       return;
     }
     case FrameType::kSampleBatch:
@@ -299,10 +299,16 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     return;
   }
 
+  // The declared count sizes the sample vector once, so it never regrows;
+  // the clamp bounds what a bad header can reserve. The parser still
+  // counts the lines itself.
+  constexpr std::uint64_t kMaxReserve = 4096;
+  const std::size_t reserve = static_cast<std::size_t>(std::min(declared, kMaxReserve));
   Batch batch;
   batch.event = *event;
-  batch.arena = rent_arena();
+  batch.arena = rent_arena(reserve * sizeof(core::LoggedSample) + alignof(std::max_align_t));
   batch.samples = support::ArenaVector<core::LoggedSample>(*batch.arena);
+  batch.samples.reserve(reserve);
   // Built on the first batch (it takes world_mu_), so workers never do.
   batch.resolver = session->resolver();
   bool enqueued = false;
@@ -343,8 +349,8 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
                             support::SpanTracer::kNoArg, session->trace());
   telemetry_.spans().record("service.batch.enqueue_wait", "service", enqueue_t0,
                             enqueue_t1, support::SpanTracer::kNoArg, session->trace());
-  stages_.parse.inc(enqueue_t0 - parse_t0);
-  stages_.enqueue_wait.inc(enqueue_t1 - enqueue_t0);
+  ingest_.parse.inc(enqueue_t0 - parse_t0);
+  ingest_.enqueue_wait.inc(enqueue_t1 - enqueue_t0);
 
   session->frames_.fetch_add(1, std::memory_order_relaxed);
   if (enqueued) {
@@ -354,9 +360,8 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     session->records_dropped_.fetch_add(record_count, std::memory_order_relaxed);
   }
   if (enqueued) {
-    telemetry_.counter("service.batches").inc();
-    telemetry_.histogram("service.ingest.batch_records", 0.0, 64.0, 32)
-        .add(static_cast<double>(record_count));
+    ingest_.batches.inc();
+    ingest_.batch_records.add(static_cast<double>(record_count));
     pool_.submit([this, session] { process_one(session); });
   } else {
     telemetry_.counter("service.batches.dropped").inc();
@@ -371,17 +376,12 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   if (!item) return;  // closed during shutdown
   Batch& batch = *item;
 
-  BatchResult result;
-  result.event = batch.event;
-  result.records = batch.samples.size();
-
   const core::ArchiveResolver* resolver = batch.resolver;
   if (resolver == nullptr) {
     // No archive manifest streamed yet: the batch cannot be attributed.
     // Apply an empty result so the sequence keeps flowing, and count it.
-    telemetry_.counter("service.batches.unresolvable").inc();
-    result.records = 0;
-    session->apply(batch.apply_seq, std::move(result));
+    ingest_.unresolvable.inc();
+    session->apply(batch.apply_seq, batch.event, {}, 0);
     recycle_arena(std::move(batch.arena));
     return;
   }
@@ -390,99 +390,42 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   // samples against the code-map indexes — both as pinned at enqueue.
   const bool objects = batch.event == hw::EventKind::kObjDmiss;
   const PinnedJitSource pins(*resolver, *batch.maps, objects);
-  telemetry_.counter("service.map_cache.hits").inc(pins.size());
-
-  if (objects) {
-    // Objects carry no caller PCs, so there is no arc/caller work here.
-    const std::uint64_t resolve_t0 = support::monotonic_ns();
-    core::RowMemo combined_memo;
-    std::map<std::uint64_t, core::RowMemo> epoch_memos;
-    core::Profile* epoch_profile = nullptr;
-    core::RowMemo* epoch_memo = nullptr;
-    std::uint64_t memo_epoch = ~0ull;
-    for (const core::LoggedSample& sample : batch.samples) {
-      const core::Resolution res = memprof::resolve_object(
-          pins.index_for(sample.pid, sample.epoch), sample.pc, sample.epoch);
-      combined_memo.add(result.partial, batch.event, sample.pid, sample.epoch, res);
-      if (epoch_profile == nullptr || sample.epoch != memo_epoch) {
-        memo_epoch = sample.epoch;
-        epoch_profile = &result.epoch_partial[sample.epoch];
-        epoch_memo = &epoch_memos[sample.epoch];
-      }
-      epoch_memo->add(*epoch_profile, batch.event, sample.pid, sample.epoch, res);
-    }
-    const std::uint64_t resolve_t1 = support::monotonic_ns();
-    telemetry_.spans().record("service.batch.resolve", "service", resolve_t0,
-                              resolve_t1, batch.apply_seq, session->trace());
-    telemetry_.counter("service.records").inc(result.records);
-    session->apply(batch.apply_seq, std::move(result));
-    stages_.resolve.inc(resolve_t1 - resolve_t0);
-    stages_.apply.inc(support::monotonic_ns() - resolve_t1);
-    recycle_arena(std::move(batch.arena));
-    return;
-  }
+  ingest_.map_cache_hits.inc(pins.size());
+  const auto resolve = [&](const core::LoggedSample& s) {
+    return objects ? memprof::resolve_object(pins.index_for(s.pid, s.epoch), s.pc, s.epoch)
+                   : resolver->resolve(s, &pins);
+  };
 
   const std::uint64_t resolve_t0 = support::monotonic_ns();
-  // Batched interning (DESIGN.md §14): repeated symbols inside one batch
-  // bump cached row/arc indices; the partials' tables see one key-string
-  // build per distinct row, not one per sample.
-  core::RowMemo combined_memo;
-  std::map<std::uint64_t, core::RowMemo> epoch_memos;
-  core::Profile* epoch_profile = nullptr;
-  core::RowMemo* epoch_memo = nullptr;
-  std::uint64_t memo_epoch = ~0ull;
-  // resolve_pc over a pinned index generation is deterministic per
-  // (pc, pid, epoch), and callers repeat heavily within a batch.
-  std::map<std::tuple<hw::Address, hw::Pid, std::uint64_t>, core::Resolution>
-      caller_memo;
-  std::map<std::tuple<hw::Address, hw::Pid, std::uint64_t, hw::Address, std::uint8_t>,
-           std::size_t>
-      arc_memo;
-  for (const core::LoggedSample& sample : batch.samples) {
-    const core::Resolution res = resolver->resolve(sample, &pins);
-    combined_memo.add(result.partial, batch.event, sample.pid, sample.epoch, res);
-    if (epoch_profile == nullptr || sample.epoch != memo_epoch) {
-      memo_epoch = sample.epoch;
-      epoch_profile = &result.epoch_partial[sample.epoch];
-      epoch_memo = &epoch_memos[sample.epoch];
-    }
-    epoch_memo->add(*epoch_profile, batch.event, sample.pid, sample.epoch, res);
-    if (sample.caller_pc != 0) {
-      const auto caller_key =
-          std::make_tuple(sample.caller_pc, sample.pid, sample.epoch);
-      auto [cit, caller_new] = caller_memo.try_emplace(caller_key);
-      if (caller_new)
-        cit->second = resolver->resolve_pc(sample.caller_pc, hw::CpuMode::kUser,
-                                           sample.pid, sample.epoch, &pins);
-      const core::Resolution& caller = cit->second;
-      if (res.symbol_size != 0) {
-        const auto arc_key =
-            std::make_tuple(sample.caller_pc, sample.pid, sample.epoch,
-                            res.symbol_base, static_cast<std::uint8_t>(res.domain));
-        auto [ait, arc_new] = arc_memo.try_emplace(arc_key, 0);
-        if (arc_new) ait->second = result.arcs.arc_index(caller, res);
-        result.arcs.bump_arc(ait->second);
-      } else {
-        // Unresolved bins share symbol_base 0 across distinct names — not
-        // memoisable by identity, same rule as RowMemo.
-        result.arcs.add_resolved(caller, res);
-      }
+  // Each sample becomes a row of the batch's id-keyed partial (DESIGN.md
+  // §14); the batch's distinct names meet the dictionary once, at take().
+  core::BatchFolder folder(batch.event, batch.apply_seq);
+  for (std::uint32_t pos = 0; pos < batch.samples.size(); ++pos) {
+    const core::LoggedSample& s = batch.samples[pos];
+    const core::Resolution res = resolve(s);
+    const std::uint32_t slot = folder.add(pos, s.pid, s.epoch, res);
+    // Objects carry no caller PCs.
+    if (!objects && s.caller_pc != 0) {
+      folder.add_arc(pos, s.caller_pc, s.pid, s.epoch, slot, res.domain, [&] {
+        return resolver->resolve_pc(s.caller_pc, hw::CpuMode::kUser, s.pid, s.epoch, &pins);
+      });
     }
   }
+  const core::BatchPartial partial = folder.take(session->symbols());
   const std::uint64_t resolve_t1 = support::monotonic_ns();
   telemetry_.spans().record("service.batch.resolve", "service", resolve_t0, resolve_t1,
                             batch.apply_seq, session->trace());
-  telemetry_.counter("service.records").inc(result.records);
-  session->apply(batch.apply_seq, std::move(result));
+  ingest_.records.inc(batch.samples.size());
+  session->apply(batch.apply_seq, batch.event, partial, batch.samples.size());
   const std::uint64_t apply_t1 = support::monotonic_ns();
   telemetry_.spans().record("service.batch.apply", "service", resolve_t1, apply_t1,
                             batch.apply_seq, session->trace());
-  stages_.resolve.inc(resolve_t1 - resolve_t0);
-  stages_.apply.inc(apply_t1 - resolve_t1);
+  ingest_.resolve.inc(resolve_t1 - resolve_t0);
+  ingest_.apply.inc(apply_t1 - resolve_t1);
   recycle_arena(std::move(batch.arena));
 }
 
-std::unique_ptr<support::Arena> ProfileServer::rent_arena() {
+std::unique_ptr<support::Arena> ProfileServer::rent_arena(std::size_t bytes) {
   {
     std::lock_guard<std::mutex> lock(arena_mu_);
     if (!arena_pool_.empty()) {
@@ -491,7 +434,7 @@ std::unique_ptr<support::Arena> ProfileServer::rent_arena() {
       return arena;
     }
   }
-  return std::make_unique<support::Arena>();
+  return std::make_unique<support::Arena>(bytes);
 }
 
 void ProfileServer::recycle_arena(std::unique_ptr<support::Arena> arena) {
@@ -521,7 +464,19 @@ std::string ProfileServer::session_report(const std::string& id, std::size_t top
                                           const std::vector<hw::EventKind>& events) {
   std::shared_ptr<ServerSession> s = session(id);
   if (!s) return "error: no such session: " + id + "\n";
-  return s->merged_profile().render(events, top);
+  return s->merged().render(s->symbols(), events, top);
+}
+
+std::vector<std::shared_ptr<ServerSession>> ProfileServer::sessions_for(
+    const std::string& id) const {
+  std::vector<std::shared_ptr<ServerSession>> out;
+  if (!id.empty()) {
+    if (std::shared_ptr<ServerSession> s = session(id)) out.push_back(std::move(s));
+    return out;
+  }
+  std::shared_lock<support::TracedSharedMutex> lock(sessions_mu_);
+  for (const auto& [sid, s] : sessions_) out.push_back(s);
+  return out;
 }
 
 std::string ProfileServer::query(const std::string& text) {
@@ -530,25 +485,12 @@ std::string ProfileServer::query(const std::string& text) {
   std::string verb;
   in >> verb;
 
-  // Shared trailing options.
-  auto scan_options = [&in](std::string& session_id, std::string& event_name,
-                            std::size_t& top) {
-    std::string word;
-    while (in >> word) {
-      if (word == "--session") in >> session_id;
-      else if (word == "--event") in >> event_name;
-      else if (word == "--top") in >> top;
-    }
-  };
-
   if (verb == "sessions") {
     support::TextTable table(
         {"Session", "Records", "Batches", "Dropped", "Torn", "VMs", "State"});
-    for (const std::string& id : session_ids()) {
-      std::shared_ptr<ServerSession> s = session(id);
-      if (!s) continue;
+    for (const auto& s : sessions_for("")) {
       const SessionStats st = s->stats();
-      table.add_row({id, std::to_string(st.records_ingested),
+      table.add_row({s->id(), std::to_string(st.records_ingested),
                      std::to_string(st.batches_applied),
                      std::to_string(st.batches_dropped), std::to_string(st.torn_frames),
                      std::to_string(st.registrations),
@@ -556,89 +498,60 @@ std::string ProfileServer::query(const std::string& text) {
     }
     return table.render();
   }
-  if (verb == "top") {
+  if (verb == "top" || verb == "since-epoch" || verb == "arcs" || verb == "memprof") {
+    // "<verb> <N> [--session S] [--event E] [--top N]": N is the epoch for
+    // since-epoch, the row count otherwise.
+    std::uint64_t since = 0;
     std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
+    if (verb == "since-epoch")
+      in >> since;
+    else
+      in >> top;
+    std::string session_id, event_name, word;
+    while (in >> word) {
+      if (word == "--session") in >> session_id;
+      else if (word == "--event") in >> event_name;
+      else if (word == "--top") in >> top;
+    }
     std::vector<hw::EventKind> events = kReportEvents;
-    if (!event_name.empty()) {
+    if (verb == "top" && !event_name.empty()) {
       const auto e = event_from(event_name);
       if (!e) return "error: unknown event: " + event_name + "\n";
       events = {*e};
     }
-    core::Profile merged;
-    if (session_id.empty()) {
-      for (const std::string& id : session_ids()) {
-        std::shared_ptr<ServerSession> s = session(id);
-        if (s) merged.merge(s->merged_profile());
-      }
-    } else {
-      std::shared_ptr<ServerSession> s = session(session_id);
-      if (!s) return "error: no such session: " + session_id + "\n";
-      merged = s->merged_profile();
-    }
-    return merged.render(events, top);
-  }
-  if (verb == "since-epoch") {
-    std::uint64_t since = 0;
-    in >> since;
-    std::size_t top = 20;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    core::Profile merged;
-    if (session_id.empty()) {
-      for (const std::string& id : session_ids()) {
-        std::shared_ptr<ServerSession> s = session(id);
-        if (s) merged.merge(s->profile_since_epoch(since));
-      }
-    } else {
-      std::shared_ptr<ServerSession> s = session(session_id);
-      if (!s) return "error: no such session: " + session_id + "\n";
-      merged = s->profile_since_epoch(since);
-    }
-    return merged.render(kReportEvents, top);
-  }
-  if (verb == "arcs") {
-    std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    support::TextTable table({"Samples", "Caller", "->", "Callee"});
-    std::size_t emitted = 0;
-    for (const std::string& id : session_ids()) {
-      if (!session_id.empty() && id != session_id) continue;
-      std::shared_ptr<ServerSession> s = session(id);
-      if (!s) continue;
-      for (const core::CallArc& arc : s->ranked_arcs()) {
-        if (emitted >= top) break;
-        table.add_row({std::to_string(arc.count),
-                       arc.caller_image + ":" + arc.caller_symbol, "->",
-                       arc.callee_image + ":" + arc.callee_symbol});
-        ++emitted;
-      }
-    }
-    return table.render();
-  }
-  if (verb == "memprof") {
-    std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    memprof::SiteTable sites;
-    core::Profile merged;
-    bool matched = false;
-    for (const std::string& id : session_ids()) {
-      if (!session_id.empty() && id != session_id) continue;
-      std::shared_ptr<ServerSession> s = session(id);
-      if (!s) continue;
-      matched = true;
-      s->fold_object_sites(sites);
-      merged.merge(s->merged_profile());
-    }
-    if (!session_id.empty() && !matched)
+    const auto matched = sessions_for(session_id);
+    if (!session_id.empty() && matched.empty())
       return "error: no such session: " + session_id + "\n";
-    return memprof::render_memprof(sites, merged, top);
+
+    if (verb == "arcs") {
+      // Each session's top arcs in turn, in session id order, `top` in all.
+      std::vector<core::CallArc> arcs;
+      for (const auto& s : matched) {
+        if (arcs.size() >= top) break;
+        for (core::CallArc& arc : s->ranked_arcs(top - arcs.size())) arcs.push_back(std::move(arc));
+      }
+      return core::render_arcs(arcs);
+    }
+    if (verb == "memprof") {
+      memprof::SiteTable sites;
+      core::Profile merged;
+      for (const auto& s : matched) {
+        s->fold_object_sites(sites);
+        merged.merge(s->merged_profile());
+      }
+      return memprof::render_memprof(sites, merged, top);
+    }
+    const bool top_verb = verb == "top";
+    // One session answers in its own id space, materialising only the
+    // rows it prints; several merge by name.
+    if (matched.size() == 1) {
+      const ServerSession& s = *matched[0];
+      return (top_verb ? s.merged() : s.since_epoch(since)).render(s.symbols(), events, top);
+    }
+    core::Profile merged;
+    for (const auto& s : matched)
+      merged.merge(top_verb ? s->merged_profile() : s->profile_since_epoch(since));
+    return merged.render(events, top);
   }
   if (verb == "snapshot") return snapshot();
   if (verb == "stats") {
@@ -658,11 +571,9 @@ std::string ProfileServer::query(const std::string& text) {
 
 std::string ProfileServer::snapshot() {
   ServiceSnapshot snap;
-  for (const std::string& id : session_ids()) {
-    std::shared_ptr<ServerSession> s = session(id);
-    if (!s) continue;
+  for (const auto& s : sessions_for("")) {
     SessionSnapshot out;
-    out.id = id;
+    out.id = s->id();
     out.profile = s->merged_profile();
     out.epochs = s->epoch_profiles();
     snap.sessions.push_back(std::move(out));

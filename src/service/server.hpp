@@ -155,6 +155,9 @@ class ProfileServer {
 
   std::vector<std::string> session_ids() const;
   std::shared_ptr<ServerSession> session(const std::string& id) const;
+  /// The session named `id` (none when unknown), or every session in id
+  /// order when `id` is empty.
+  std::vector<std::shared_ptr<ServerSession>> sessions_for(const std::string& id) const;
 
   /// Rendered top-`top` report of one session over `events` — the
   /// byte-identity anchor against offline viprof_report.
@@ -175,32 +178,46 @@ class ProfileServer {
 
   /// Per-batch arena recycling: batches decode into a rented arena and
   /// return it (reset, blocks kept) after apply, so steady-state ingest
-  /// allocates no per-frame heap storage.
-  std::unique_ptr<support::Arena> rent_arena();
+  /// allocates no per-frame heap storage. A new arena's block is sized to
+  /// `bytes`, one batch's samples.
+  std::unique_ptr<support::Arena> rent_arena(std::size_t bytes);
   void recycle_arena(std::unique_ptr<support::Arena> arena);
 
-  /// The ingest stage ledger (DESIGN.md §10): ns spent in each stage,
-  /// summed over sessions and threads. The counters are looked up once
-  /// here, not per batch; divided by service.records they give ns/record.
-  struct StageLedger {
-    explicit StageLedger(support::Telemetry& t)
+  /// Ingest metrics, looked up once here rather than by name (a registry
+  /// lock and a map find each) on every batch. The stage ledger (DESIGN.md
+  /// §10) is the ns spent in each stage, summed over sessions and threads;
+  /// divided by service.records it gives ns/record.
+  struct IngestMetrics {
+    explicit IngestMetrics(support::Telemetry& t)
         : decode(t.counter("service.stage_ns.decode")),
           parse(t.counter("service.stage_ns.parse")),
           enqueue_wait(t.counter("service.stage_ns.enqueue_wait")),
           map_store(t.counter("service.stage_ns.map_store")),
           resolve(t.counter("service.stage_ns.resolve")),
-          apply(t.counter("service.stage_ns.apply")) {}
+          apply(t.counter("service.stage_ns.apply")),
+          frames(t.counter("service.frames")),
+          batches(t.counter("service.batches")),
+          batch_records(t.histogram("service.ingest.batch_records", 0.0, 64.0, 32)),
+          records(t.counter("service.records")),
+          map_cache_hits(t.counter("service.map_cache.hits")),
+          unresolvable(t.counter("service.batches.unresolvable")) {}
     support::Counter& decode;        // frame verify (connection thread)
     support::Counter& parse;         // batch text parse + version pin
     support::Counter& enqueue_wait;  // queue push, blocked while it is full
     support::Counter& map_store;     // file frames: map parse + publish
     support::Counter& resolve;       // worker: resolve + per-batch fold
     support::Counter& apply;         // worker: fold into the stripe
+    support::Counter& frames;        // decoded
+    support::Counter& batches;       // enqueued
+    support::LatencyHistogram& batch_records;  // records per enqueued batch
+    support::Counter& records;                 // resolved and applied
+    support::Counter& map_cache_hits;          // map index versions pinned
+    support::Counter& unresolvable;            // applied empty: no manifest yet
   };
 
   ServerConfig config_;
   support::Telemetry telemetry_;
-  StageLedger stages_{telemetry_};
+  IngestMetrics ingest_{telemetry_};
   std::mutex arena_mu_;
   std::vector<std::unique_ptr<support::Arena>> arena_pool_;
   // Reader-heavy (every query and flush walks the session table) and a

@@ -49,6 +49,7 @@ ServerSession::ServerSession(std::string id, std::size_t queue_capacity,
     maps_mu_.attach(*telemetry);
     world_mu_.attach(*telemetry);
     for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
+    symbols_.attach(*telemetry);
     queue_.instrument(&telemetry->gauge("service.queue.depth"),
                       &telemetry->histogram("service.queue.depth_hist", 0.0, 1.0, 64));
     // Registered up front so both read in every snapshot, zero or not.
@@ -151,50 +152,63 @@ const core::ArchiveResolver* ServerSession::resolver() {
   return resolver_.get();
 }
 
-core::Profile ServerSession::merged_profile() const {
-  core::SeqProfile combined[hw::kEventKindCount];
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
-      combined[e].fold(stripe->event_profiles[e]);
-  }
-  core::Profile merged;
-  for (hw::EventKind event : hw::kAllEventKinds)
-    merged.merge(combined[hw::event_index(event)].ordered());
-  return merged;
+std::vector<std::unique_lock<support::TracedMutex>> ServerSession::lock_stripes() const {
+  std::vector<std::unique_lock<support::TracedMutex>> locks;
+  locks.reserve(stripes_.size());
+  for (const auto& stripe : stripes_) locks.emplace_back(stripe->mu);
+  return locks;
 }
 
-core::Profile ServerSession::profile_since_epoch(std::uint64_t since) const {
-  std::map<std::uint64_t, core::SeqProfile> combined;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (const auto& [epoch, partial] : stripe->epoch_profiles)
-      if (epoch >= since) combined[epoch].fold(partial);
+core::IdProfile ServerSession::merge_events(bool pending) const {
+  core::IdProfileMerge merge;
+  std::vector<const core::SeqProfile*> parts;
+  for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {
+    parts.clear();
+    for (const auto& stripe : stripes_)
+      parts.push_back(pending ? &stripe->pending.events[e] : &stripe->event_profiles[e]);
+    merge.add_group(parts);
   }
-  core::Profile merged;
-  for (const auto& [epoch, partial] : combined) merged.merge(partial.ordered());
-  return merged;
+  return merge.take();
+}
+
+core::IdProfile ServerSession::merged() const {
+  const auto locks = lock_stripes();
+  return merge_events(false);
+}
+
+std::map<std::uint64_t, std::vector<const core::SeqProfile*>> ServerSession::epoch_folds(
+    std::uint64_t since) const {
+  std::map<std::uint64_t, std::vector<const core::SeqProfile*>> epochs;
+  for (const auto& stripe : stripes_)
+    for (auto it = stripe->epoch_profiles.lower_bound(since);
+         it != stripe->epoch_profiles.end(); ++it)
+      epochs[it->first].push_back(&it->second);
+  return epochs;
+}
+
+core::IdProfile ServerSession::since_epoch(std::uint64_t since) const {
+  const auto locks = lock_stripes();
+  core::IdProfileMerge merge;
+  for (const auto& [epoch, parts] : epoch_folds(since)) merge.add_group(parts);
+  return merge.take();
 }
 
 std::map<std::uint64_t, core::Profile> ServerSession::epoch_profiles() const {
-  std::map<std::uint64_t, core::SeqProfile> combined;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (const auto& [epoch, partial] : stripe->epoch_profiles)
-      combined[epoch].fold(partial);
-  }
+  const auto locks = lock_stripes();
   std::map<std::uint64_t, core::Profile> out;
-  for (const auto& [epoch, partial] : combined) out.emplace(epoch, partial.ordered());
+  for (const auto& [epoch, parts] : epoch_folds(0)) {
+    core::IdProfileMerge merge;
+    merge.add_group(parts);
+    out.emplace(epoch, merge.take().materialise(symbols_));
+  }
   return out;
 }
 
-std::vector<core::CallArc> ServerSession::ranked_arcs() const {
-  core::SeqCallGraph combined;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    combined.fold(stripe->graph);
-  }
-  return combined.ordered().ranked();
+std::vector<core::CallArc> ServerSession::ranked_arcs(std::size_t top_n) const {
+  const auto locks = lock_stripes();
+  std::vector<const core::SeqCallGraph*> parts;
+  for (const auto& stripe : stripes_) parts.push_back(&stripe->graph);
+  return core::ranked_arcs(parts, symbols_, top_n);
 }
 
 void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
@@ -218,52 +232,54 @@ void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
 }
 
 ServerSession::FlushDelta ServerSession::take_flush() {
-  core::SeqProfile combined[hw::kEventKindCount];
   FlushDelta delta;
+  core::IdProfile ids;
   std::uint64_t lo = ~0ull, hi = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {
-      combined[e].fold(stripe->pending_event[e]);
-      stripe->pending_event[e] = core::SeqProfile{};
+  {
+    const auto locks = lock_stripes();
+    // Canonical event order, same as merged_profile(): differently-timed
+    // flushes of the same stream fold back to the same row order.
+    ids = merge_events(true);
+    for (const auto& stripe : stripes_) {
+      lo = std::min(lo, stripe->pending.epoch_lo);
+      hi = std::max(hi, stripe->pending.epoch_hi);
+      delta.records += stripe->pending.records;
+      delta.any = delta.any || stripe->pending.any;
+      stripe->pending = {};
     }
-    lo = std::min(lo, stripe->pending_epoch_lo);
-    hi = std::max(hi, stripe->pending_epoch_hi);
-    delta.records += stripe->pending_records;
-    delta.any = delta.any || stripe->pending_any;
-    stripe->pending_epoch_lo = ~0ull;
-    stripe->pending_epoch_hi = 0;
-    stripe->pending_records = 0;
-    stripe->pending_any = false;
   }
   if (lo <= hi) {
     delta.epoch_lo = lo;
     delta.epoch_hi = hi;
   }
-  // Canonical event order, same as merged_profile(): differently-timed
-  // flushes of the same stream fold back to the same row order.
-  for (hw::EventKind event : hw::kAllEventKinds)
-    delta.profile.merge(combined[hw::event_index(event)].ordered());
+  delta.profile = ids.materialise(symbols_);
   return delta;
 }
 
-void ServerSession::apply(std::uint64_t apply_seq, BatchResult result) {
+void ServerSession::apply(std::uint64_t apply_seq, hw::EventKind event,
+                          const core::BatchPartial& partial, std::uint64_t records) {
   Stripe& stripe = *stripes_[apply_seq % stripes_.size()];
   {
     std::lock_guard<support::TracedMutex> lock(stripe.mu);
-    const std::size_t e = hw::event_index(result.event);
-    stripe.event_profiles[e].fold(apply_seq, result.partial);
-    stripe.pending_event[e].fold(apply_seq, result.partial);
-    stripe.pending_records += result.records;
-    if (result.partial.row_count() != 0) stripe.pending_any = true;
-    for (const auto& [epoch, partial] : result.epoch_partial) {
-      stripe.epoch_profiles[epoch].fold(apply_seq, partial);
-      stripe.pending_epoch_lo = std::min(stripe.pending_epoch_lo, epoch);
-      stripe.pending_epoch_hi = std::max(stripe.pending_epoch_hi, epoch);
+    const std::size_t e = hw::event_index(event);
+    core::SeqProfile* epoch_fold = nullptr;
+    std::uint64_t fold_epoch = 0;
+    for (const core::BatchPartial::Row& r : partial.rows) {
+      stripe.event_profiles[e].fold(r.row);
+      stripe.pending.events[e].fold(r.row);
+      if (epoch_fold == nullptr || r.epoch != fold_epoch) {
+        fold_epoch = r.epoch;
+        epoch_fold = &stripe.epoch_profiles[r.epoch];
+        stripe.pending.epoch_lo = std::min(stripe.pending.epoch_lo, r.epoch);
+        stripe.pending.epoch_hi = std::max(stripe.pending.epoch_hi, r.epoch);
+      }
+      epoch_fold->fold(r.row);
     }
-    stripe.graph.fold(apply_seq, result.arcs);
+    for (const core::ArcRow& arc : partial.arcs) stripe.graph.fold(arc);
+    stripe.pending.records += records;
+    if (!partial.rows.empty()) stripe.pending.any = true;
   }
-  records_ingested_.fetch_add(result.records, std::memory_order_relaxed);
+  records_ingested_.fetch_add(records, std::memory_order_relaxed);
   batches_applied_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -10,17 +10,20 @@
 //                  publishing under ingest_mu_, never taken inside it
 //   world_mu_    — the VFS and the lazily built resolver (receiver)
 //   stripe locks — one per aggregation stripe (workers + queries)
+//   symbols_     — the symbol dictionary's own shared lock (workers)
 // Ingest workers take no session lock but their stripe's: a batch carries
 // the resolver and the map versions it resolves against.
 //
-// Aggregation is striped (DESIGN.md §14): a batch lands on stripe
-// (apply_seq % stripes) and folds into that stripe's order-recovering
-// SeqProfile/SeqCallGraph accumulators under the stripe's own lock, so
+// Aggregation is striped and keyed on symbol ids (DESIGN.md §14): workers
+// intern (image, symbol) pairs in the session's SymbolDict, and a batch
+// lands on stripe (apply_seq % stripes) and folds into that stripe's
+// order-recovering id-keyed accumulators under the stripe's own lock, so
 // concurrent workers only collide when their sequence numbers share a
 // stripe. There is no reorder buffer and no apply-order requirement —
-// every row remembers its first-occurrence (seq, idx), and queries merge
-// the stripes and sort that provenance back into the exact serial order.
-// The online answer stays byte-identical to offline viprof_report at any
+// every row remembers its first occurrence (seq, pos), and queries merge
+// the stripes in id space, sort that provenance back into the exact serial
+// order, and materialise strings only for the rows they return. The
+// online answer stays byte-identical to offline viprof_report at any
 // thread count, stripe count and worker interleaving. Every stripe lock
 // shares the TracedMutex name "service.session.agg", so the PR 7
 // contention evidence reads on the same key before and after.
@@ -76,17 +79,6 @@ struct Batch {
   /// nullptr when no archive manifest had been streamed at enqueue; owned
   /// by the session, which outlives the batch.
   const core::ArchiveResolver* resolver = nullptr;
-};
-
-/// A worker's resolved batch: partial aggregates interned per batch (one
-/// shared-table fold per distinct row, not per sample) and handed to
-/// apply() in any order.
-struct BatchResult {
-  hw::EventKind event = hw::EventKind::kGlobalPowerEvents;
-  core::Profile partial;
-  std::map<std::uint64_t, core::Profile> epoch_partial;
-  core::CallGraph arcs;  // resolver-less partial graph
-  std::uint64_t records = 0;
 };
 
 struct SessionStats {
@@ -148,15 +140,27 @@ class ServerSession {
   /// streamed.
   const core::ArchiveResolver* resolver();
 
-  /// Combined rolling profile, per-event profiles merged in canonical
-  /// event order (matches offline single-profile aggregation row order).
-  core::Profile merged_profile() const;
+  /// The session's symbol dictionary: workers intern into it, queries
+  /// materialise or render id-space profiles against it.
+  core::SymbolDict& symbols() { return symbols_; }
+  const core::SymbolDict& symbols() const { return symbols_; }
 
-  /// Merge of the per-epoch profiles with epoch >= `since`.
-  core::Profile profile_since_epoch(std::uint64_t since) const;
+  /// Combined rolling profile in id space, per-event profiles merged in
+  /// canonical event order (matches offline single-profile aggregation row
+  /// order).
+  core::IdProfile merged() const;
+  core::Profile merged_profile() const { return merged().materialise(symbols_); }
 
-  /// Rolling cross-layer call graph (arc list copy).
-  std::vector<core::CallArc> ranked_arcs() const;
+  /// Merge of the per-epoch profiles with epoch >= `since`, epochs in
+  /// ascending order.
+  core::IdProfile since_epoch(std::uint64_t since) const;
+  core::Profile profile_since_epoch(std::uint64_t since) const {
+    return since_epoch(since).materialise(symbols_);
+  }
+
+  /// The rolling cross-layer call graph's arcs ranked by count (ties in
+  /// first-occurrence order), the first `top_n` of them.
+  std::vector<core::CallArc> ranked_arcs(std::size_t top_n = SIZE_MAX) const;
 
   /// Folds the allocation-site table derived from every streamed object
   /// map of every registered VM into `sites` (additive across sessions;
@@ -200,23 +204,38 @@ class ServerSession {
  private:
   friend class ProfileServer;
 
-  /// One aggregation stripe: order-recovering accumulators plus the
-  /// pending flush delta, under the stripe's own lock.
+  /// One aggregation stripe: order-recovering id-keyed accumulators plus
+  /// the pending flush delta, under the stripe's own lock. Epoch folds stay
+  /// sparse: one map entry per epoch the stripe has seen.
   struct Stripe {
     mutable support::TracedMutex mu{"service.session.agg"};
     core::SeqProfile event_profiles[hw::kEventKindCount];
     std::map<std::uint64_t, core::SeqProfile> epoch_profiles;
     core::SeqCallGraph graph;
-    // Flush accumulation since the last take_flush().
-    core::SeqProfile pending_event[hw::kEventKindCount];
-    std::uint64_t pending_epoch_lo = ~0ull, pending_epoch_hi = 0;  // lo>hi: none
-    std::uint64_t pending_records = 0;
-    bool pending_any = false;
+    struct Pending {  // flush accumulation since the last take_flush()
+      core::SeqProfile events[hw::kEventKindCount];
+      std::uint64_t epoch_lo = ~0ull, epoch_hi = 0;  // lo > hi: none
+      std::uint64_t records = 0;
+      bool any = false;
+    } pending;
   };
 
-  /// Folds `result` into stripe (apply_seq % stripes). Called by workers
-  /// under no other lock; any order, any interleaving.
-  void apply(std::uint64_t apply_seq, BatchResult result);
+  /// Folds a worker's resolved batch — `records` samples of `event` — into
+  /// stripe (apply_seq % stripes). Called by workers under no other lock;
+  /// any order, any interleaving.
+  void apply(std::uint64_t apply_seq, hw::EventKind event, const core::BatchPartial& partial,
+             std::uint64_t records);
+
+  /// Every stripe locked, in index order (a worker holds at most one, so
+  /// the order cannot deadlock): one consistent cut for a query to merge.
+  std::vector<std::unique_lock<support::TracedMutex>> lock_stripes() const;
+  /// The per-event folds (the pending ones when `pending`) of every
+  /// stripe, merged in canonical event order. Caller holds lock_stripes().
+  core::IdProfile merge_events(bool pending) const;
+  /// Every stripe's epoch folds with epoch >= `since`, by epoch. Caller
+  /// holds lock_stripes().
+  std::map<std::uint64_t, std::vector<const core::SeqProfile*>> epoch_folds(
+      std::uint64_t since) const;
 
   const std::string id_;
   std::atomic<std::uint64_t> trace_id_{0};
@@ -252,8 +271,9 @@ class ServerSession {
   // ---- ingest queue (self-locked)
   support::BoundedQueue<Batch> queue_;
 
-  // ---- aggregates (per-stripe locks)
+  // ---- aggregates (per-stripe locks) and the symbols they are keyed on
   std::vector<std::unique_ptr<Stripe>> stripes_;
+  core::SymbolDict symbols_{"service.session.symbols"};
 
   // ---- counters (lock-free)
   std::atomic<std::uint64_t> frames_{0};
